@@ -7,21 +7,23 @@
 //! lobist suite
 //! ```
 //!
-//! The design file uses the text format of [`lobist_dfg::parse`]. All
-//! command logic lives in [`run`], which returns the output as a string
-//! so the test suite can drive it without a subprocess.
+//! The design file uses the text format of [`lobist_dfg::parse`]. [`run`]
+//! maps argv to the shared command layer ([`lobist_engine::command`],
+//! which the daemon uses too) and renders the result as text, returned
+//! as a string so the test suite can drive it without a subprocess.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 
-use lobist_alloc::flow::{synthesize, Design, FlowError, FlowOptions};
+use lobist_alloc::anneal::AnnealConfig;
+use lobist_alloc::flow::{synthesize, FlowError, FlowOptions};
 use lobist_datapath::area::AreaModel;
-use lobist_dfg::lifetime::LifetimeOptions;
 use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::parse::parse_dfg;
-use lobist_lint::{Code, LintPolicy, LintUnit, PassRegistry, Report};
+use lobist_engine::command::{self, CommandError, Flow, Request};
+use lobist_engine::Engine;
+use lobist_lint::{Code, LintPolicy, Report};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -36,6 +38,9 @@ pub enum CliError {
     Modules(lobist_dfg::modules::ParseModuleSetError),
     /// Synthesis failed.
     Flow(FlowError),
+    /// The design could not be loaded (no operations, or no schedule
+    /// under the module set).
+    Command(CommandError),
     /// Lint findings were denied by the active policy. Carries the full
     /// report text so the binary can still print it before exiting
     /// nonzero.
@@ -56,6 +61,7 @@ impl fmt::Display for CliError {
             CliError::Parse(e) => write!(f, "design file: {e}"),
             CliError::Modules(e) => write!(f, "--modules: {e}"),
             CliError::Flow(e) => write!(f, "synthesis failed: {e}"),
+            CliError::Command(e) => write!(f, "{e}"),
             CliError::Lint { denied, .. } => {
                 write!(f, "lint: {denied} finding(s) denied by policy")
             }
@@ -64,6 +70,20 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<CommandError> for CliError {
+    fn from(e: CommandError) -> Self {
+        match e {
+            CommandError::Parse(e) => CliError::Parse(e),
+            CommandError::Flow(e) => CliError::Flow(e),
+            CommandError::Missing(field) => CliError::Usage(format!("missing --{field}")),
+            CommandError::Zero(field) => {
+                CliError::Usage(format!("--{field} 0 makes no sense: it must be at least 1"))
+            }
+            other => CliError::Command(other),
+        }
+    }
+}
 
 /// The usage text.
 pub const USAGE: &str = "\
@@ -76,12 +96,13 @@ USAGE:
   lobist faultsim <design.dfg> --modules <SET> [--jobs <N>] [--lanes <W>]
                   [--metrics] [OPTIONS]
   lobist explore <design.dfg> --candidates <SET;SET;...> [--jobs <N>] [--metrics]
+                 [OPTIONS]
   lobist batch [<design.dfg>... | -] --modules <SET> [--faultsim] [--jobs <N>]
                [--lanes <W>] [--metrics]
   lobist corpus [--sizes <N,N,...>] [--seed <S>] [--permute <S>]
                 [--twin-kernels <S>] [--out <DIR>]
   lobist anneal <design.dfg> --modules <SET> [--iterations <N>] [--seed <S>]
-                [--batch <K>] [--chains <C>] [--jobs <N>] [--metrics]
+                [--batch <K>] [--chains <C>] [--jobs <N>] [--metrics] [OPTIONS]
   lobist lint <design.dfg> --modules <SET> [--deny <CODE|all>] [--allow <CODE>]
               [--json] [--jobs <N>] [--metrics] [OPTIONS]
   lobist analyze <design.dfg> --modules <SET> [--json] [--full] [--jobs <N>]
@@ -128,7 +149,8 @@ OPTIONS:
   --netlist         print the structural netlist
   --trace           print the allocator's decision trace (testable flow)
   --verilog         emit the synthesized design as Verilog RTL
-  --json            machine-readable output for `synth` and `compare`
+  --json            machine-readable output for `synth`, `compare`, `lint`
+                    and `analyze`
   --full            `analyze`: list every fault score, not just the
                     flagged ones
   --repair          insert test points for otherwise-untestable modules
@@ -137,7 +159,7 @@ OPTIONS:
   --iterations <N>  evaluated moves for `anneal` (default 400)
   --seed <S>        RNG seed for `anneal` (decimal or 0x hex)
   --batch <K>       candidate moves speculated per `anneal` step
-                    (default 1; a pure performance knob — the committed
+                    (default 16; a pure performance knob — the committed
                     trajectory is identical for every K)
   --chains <C>      independent `anneal` chains, merged best-of
                     (default 1; chain 0 reproduces the serial run)
@@ -160,17 +182,6 @@ OPTIONS:
                     reordered) — structurally identical, textually
                     disjoint, so a canonical-cache batch answers the
                     twins as iso hits
-  --canon <on|off>  isomorphism-level cache keys for `explore`/`batch`/
-                    `serve` (default on): a renamed/reordered twin of a
-                    cached design is answered from cache, remapped,
-                    byte-identically; `off` restores exact-text keying
-  --subcanon <on|off>  subgraph-level fragment tier for `explore`/
-                    `batch`/`serve` (default on): the shift-invariant
-                    synthesis core is memoized by rebased canonical
-                    encoding and canonical DFG fragments are tracked
-                    across designs, so twin kernels inside otherwise
-                    different designs reuse work; results are
-                    byte-identical either way
   --twin-kernels <S>  `corpus`: also emit a scheduled sibling of every
                     design, permute-renamed and schedule-shifted by one
                     step — not whole-design isomorphic, but identical in
@@ -180,7 +191,8 @@ OPTIONS:
   --out <DIR>       output directory for `corpus` (default
                     lobist-corpus)
   --jobs <N>        worker threads for `explore`/`batch`/`faultsim`/
-                    `anneal`/`lint` (default: all cores; at least 1)
+                    `anneal`/`lint`/`analyze` (default: all cores; at
+                    least 1)
   --tcp <ADDR>      daemon TCP address: listen address for `serve`
                     (default 127.0.0.1:7420 unless --unix is given),
                     connect address for `submit`
@@ -198,10 +210,11 @@ OPTIONS:
   --progress        `batch`: stream engine progress as JSONL (flushed
                     per event) and append a terminal done record
   --metrics         print engine metrics as JSON after `explore`/`batch`/
-                    `faultsim`/`anneal`/`lint` (fault-sim counters: cone
-                    evaluations, events propagated, faults collapsed;
-                    anneal counters: moves, stalls, oracle hit rate;
-                    lint counters: runs, findings, per-pass timings)
+                    `faultsim`/`anneal`/`lint`/`analyze` (fault-sim
+                    counters: cone evaluations, events propagated, faults
+                    collapsed; anneal counters: moves, stalls, oracle hit
+                    rate; lint counters: runs, findings, per-pass
+                    timings; analyze: the testability section)
 
 DESIGN FILE FORMAT (one statement per line):
   input a b c
@@ -210,9 +223,10 @@ DESIGN FILE FORMAT (one statement per line):
   output y
 ";
 
+#[derive(Default)]
 struct Options {
     modules: Option<String>,
-    flow: String,
+    flow: Flow,
     width: u32,
     port_inputs: bool,
     netlist: bool,
@@ -246,75 +260,55 @@ struct Options {
     out_dir: Option<String>,
     permute: Option<u64>,
     twin_kernels: Option<u64>,
-    canon: bool,
-    subcanon: bool,
     positional: Vec<String>,
+}
+
+/// Parses a flag's value, or names it as a bad `what`.
+fn parsed<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError> {
+    v.parse()
+        .map_err(|_| CliError::Usage(format!("bad {what} `{v}`")))
+}
+
+/// [`parsed`] for counts that must be positive.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(
+    v: &str,
+    what: &str,
+) -> Result<T, CliError> {
+    parsed(v, what)
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| CliError::Usage(format!("bad {what} `{v}`")))
+}
+
+/// Parses a seed, decimal or `0x` hex.
+fn seed(v: &str, what: &str) -> Result<u64, CliError> {
+    v.strip_prefix("0x")
+        .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16))
+        .map_err(|_| CliError::Usage(format!("bad {what} `{v}`")))
 }
 
 fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut o = Options {
-        modules: None,
-        flow: "testable".to_owned(),
-        width: 8,
-        port_inputs: false,
-        netlist: false,
-        trace: false,
-        verilog: false,
-        json: false,
-        full: false,
-        repair: false,
-        latency: None,
-        candidates: None,
-        jobs: None,
-        metrics: false,
-        iterations: None,
-        seed: None,
-        batch: None,
-        chains: None,
-        deny: Vec::new(),
-        allow: Vec::new(),
-        lint: false,
-        tcp: None,
-        unix_sock: None,
-        store: None,
-        store_max_bytes: None,
-        max_request_jobs: None,
-        max_active: None,
-        cmd: None,
-        progress: false,
-        faultsim: false,
-        lanes: lobist_engine::LaneSelect::Auto,
-        sizes: None,
-        out_dir: None,
-        permute: None,
-        twin_kernels: None,
-        canon: true,
-        subcanon: true,
-        positional: Vec::new(),
+        width: Request::default().width,
+        ..Options::default()
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--modules" => {
-                o.modules = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--modules needs a value".into()))?
-                        .clone(),
-                )
-            }
+        let flag = arg.as_str();
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
+        };
+        match flag {
+            "--modules" => o.modules = Some(value()?.to_owned()),
             "--flow" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--flow needs a value".into()))?;
-                if v != "testable" && v != "traditional" {
-                    return Err(CliError::Usage(format!("unknown flow `{v}`")));
-                }
-                o.flow = v.clone();
+                let v = value()?;
+                o.flow =
+                    Flow::parse(v).ok_or_else(|| CliError::Usage(format!("unknown flow `{v}`")))?;
             }
             "--width" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--width needs a value".into()))?;
+                let v = value()?;
                 o.width = v
                     .parse()
                     .ok()
@@ -328,227 +322,40 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--json" => o.json = true,
             "--full" => o.full = true,
             "--repair" => o.repair = true,
-            "--candidates" => {
-                o.candidates = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--candidates needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--jobs needs a value".into()))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad job count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--jobs 0 makes no sense: the engine needs at least one worker".into(),
-                    ));
-                }
-                o.jobs = Some(n);
-            }
+            "--candidates" => o.candidates = Some(value()?.to_owned()),
+            "--jobs" => o.jobs = Some(parsed(value()?, "job count")?),
             "--metrics" => o.metrics = true,
-            "--iterations" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--iterations needs a value".into()))?;
-                o.iterations = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad iteration count `{v}`")))?,
-                );
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--seed needs a value".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
-                o.seed = Some(parsed.map_err(|_| CliError::Usage(format!("bad seed `{v}`")))?);
-            }
-            "--batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--batch needs a value".into()))?;
-                let k: u32 = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad batch size `{v}`")))?;
-                if k == 0 {
-                    return Err(CliError::Usage("--batch must be at least 1".into()));
-                }
-                o.batch = Some(k);
-            }
-            "--chains" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--chains needs a value".into()))?;
-                let c: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad chain count `{v}`")))?;
-                if c == 0 {
-                    return Err(CliError::Usage("--chains must be at least 1".into()));
-                }
-                o.chains = Some(c);
-            }
-            "--deny" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--deny needs a value".into()))?;
-                o.deny.push(v.clone());
-            }
-            "--allow" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--allow needs a value".into()))?;
-                o.allow.push(v.clone());
-            }
+            "--iterations" => o.iterations = Some(parsed(value()?, "iteration count")?),
+            "--seed" => o.seed = Some(seed(value()?, "seed")?),
+            "--batch" => o.batch = Some(parsed(value()?, "batch size")?),
+            "--chains" => o.chains = Some(parsed(value()?, "chain count")?),
+            "--deny" => o.deny.push(value()?.to_owned()),
+            "--allow" => o.allow.push(value()?.to_owned()),
             "--lint" => o.lint = true,
             "--progress" => o.progress = true,
             "--faultsim" => o.faultsim = true,
             "--lanes" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--lanes needs a value".into()))?;
+                let v = value()?;
                 o.lanes = lobist_engine::LaneSelect::parse(v).ok_or_else(|| {
                     CliError::Usage(format!(
                         "bad lane width `{v}` (expected 64, 256, 512 or auto)"
                     ))
                 })?;
             }
-            "--permute" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--permute needs a seed".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
-                o.permute =
-                    Some(parsed.map_err(|_| CliError::Usage(format!("bad permute seed `{v}`")))?);
-            }
-            "--canon" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--canon needs on|off".into()))?;
-                o.canon = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "bad --canon value `{other}` (expected on|off)"
-                        )))
-                    }
-                };
-            }
-            "--subcanon" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--subcanon needs on|off".into()))?;
-                o.subcanon = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "bad --subcanon value `{other}` (expected on|off)"
-                        )))
-                    }
-                };
-            }
-            "--twin-kernels" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--twin-kernels needs a seed".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
-                o.twin_kernels = Some(
-                    parsed.map_err(|_| CliError::Usage(format!("bad twin-kernels seed `{v}`")))?,
-                );
-            }
-            "--sizes" => {
-                o.sizes = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--sizes needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--out" => {
-                o.out_dir = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--out needs a directory".into()))?
-                        .clone(),
-                )
-            }
-            "--tcp" => {
-                o.tcp = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--tcp needs an address".into()))?
-                        .clone(),
-                )
-            }
-            "--unix" => {
-                o.unix_sock = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--unix needs a path".into()))?
-                        .clone(),
-                )
-            }
-            "--store" => {
-                o.store = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--store needs a path".into()))?
-                        .clone(),
-                )
-            }
-            "--store-max-bytes" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--store-max-bytes needs a value".into()))?;
-                let n: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError::Usage(format!("bad store budget `{v}`")))?;
-                o.store_max_bytes = Some(n);
-            }
+            "--permute" => o.permute = Some(seed(value()?, "permute seed")?),
+            "--twin-kernels" => o.twin_kernels = Some(seed(value()?, "twin-kernels seed")?),
+            "--sizes" => o.sizes = Some(value()?.to_owned()),
+            "--out" => o.out_dir = Some(value()?.to_owned()),
+            "--tcp" => o.tcp = Some(value()?.to_owned()),
+            "--unix" => o.unix_sock = Some(value()?.to_owned()),
+            "--store" => o.store = Some(value()?.to_owned()),
+            "--store-max-bytes" => o.store_max_bytes = Some(positive(value()?, "store budget")?),
             "--max-request-jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-request-jobs needs a value".into()))?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError::Usage(format!("bad request-job ceiling `{v}`")))?;
-                o.max_request_jobs = Some(n);
+                o.max_request_jobs = Some(positive(value()?, "request-job ceiling")?)
             }
-            "--max-active" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-active needs a value".into()))?;
-                let n: usize =
-                    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!("bad active-request count `{v}`"))
-                    })?;
-                o.max_active = Some(n);
-            }
-            "--cmd" => {
-                o.cmd = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--cmd needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--latency" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--latency needs a value".into()))?;
-                o.latency = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad latency `{v}`")))?,
-                );
-            }
+            "--max-active" => o.max_active = Some(positive(value()?, "active-request count")?),
+            "--cmd" => o.cmd = Some(value()?.to_owned()),
+            "--latency" => o.latency = Some(parsed(value()?, "latency")?),
             other if other.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option `{other}`")))
             }
@@ -568,38 +375,48 @@ fn worker_count(o: &Options) -> usize {
     })
 }
 
-fn flow_options(o: &Options, traditional: bool) -> FlowOptions {
-    let mut f = if traditional {
-        FlowOptions::traditional()
-    } else {
-        FlowOptions::testable()
-    };
-    f.area = AreaModel::with_width(o.width);
-    f.lifetime_options = if o.port_inputs {
-        LifetimeOptions::port_inputs()
-    } else {
-        LifetimeOptions::registered_inputs()
-    };
-    f.repair_untestable = o.repair;
-    f
-}
+impl Options {
+    /// The shared command request these flags select, without a design;
+    /// rejects zero `--jobs`, `--batch` and `--chains` for every command.
+    fn request(&self) -> Result<Request, CliError> {
+        let defaults = Request::default();
+        let request = Request {
+            flow: self.flow,
+            width: self.width,
+            port_inputs: self.port_inputs,
+            repair: self.repair,
+            workers: self.jobs,
+            anneal: AnnealConfig {
+                iterations: self.iterations.unwrap_or(defaults.anneal.iterations),
+                seed: self.seed.unwrap_or(defaults.anneal.seed),
+                batch: self.batch.unwrap_or(defaults.anneal.batch),
+                ..defaults.anneal
+            },
+            chains: self.chains.unwrap_or(defaults.chains),
+            lanes: self.lanes,
+            ..defaults
+        };
+        request.validate()?;
+        Ok(request)
+    }
 
-fn load_design(
-    o: &Options,
-) -> Result<(lobist_dfg::Dfg, lobist_dfg::Schedule, ModuleSet), CliError> {
-    let path = o
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-    let (dfg, schedule) = parse_dfg(&text).map_err(CliError::Parse)?;
-    let modules: ModuleSet = o
-        .modules
-        .as_deref()
-        .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-        .parse()
-        .map_err(CliError::Modules)?;
-    Ok((dfg, schedule, modules))
+    /// `request` completed with the design file's text and the
+    /// `--modules` set, for the commands that take one design.
+    fn design_request(&self, mut request: Request) -> Result<Request, CliError> {
+        let path = self
+            .positional
+            .get(1)
+            .ok_or_else(|| CliError::Usage("missing design file".into()))?;
+        request.design =
+            std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
+        request.modules = self
+            .modules
+            .as_deref()
+            .map(str::parse)
+            .transpose()
+            .map_err(CliError::Modules)?;
+        Ok(request)
+    }
 }
 
 /// Renders one synthesized design as a JSON object (hand-rolled: the
@@ -654,20 +471,6 @@ fn lint_policy(o: &Options) -> Result<LintPolicy, CliError> {
     Ok(policy)
 }
 
-/// Lints one synthesized design on the worker pool.
-fn lint_design(
-    dfg: &lobist_dfg::Dfg,
-    schedule: &lobist_dfg::Schedule,
-    design: &Design,
-    flow: &FlowOptions,
-    workers: usize,
-    metrics: Option<&lobist_engine::Metrics>,
-) -> (Report, lobist_engine::LintRunStats) {
-    let unit = LintUnit::of_design(dfg, schedule, design, flow.lifetime_options, &flow.area);
-    let registry = PassRegistry::default_registry();
-    lobist_engine::lint_parallel(&unit, &registry, workers, metrics)
-}
-
 /// The `"timing"` object spliced into `lint --json` output: run wall
 /// time plus a per-pass log2-microsecond histogram (same bucketing as
 /// the engine metrics), so a saved report is self-contained.
@@ -688,52 +491,6 @@ fn lint_timing_json(stats: &lobist_engine::LintRunStats) -> String {
         stats.wall.as_micros(),
         stats.workers,
     )
-}
-
-/// Runs the BIST sessions of every module of a synthesized design on
-/// the parallel fault simulator, recording each run into `metrics`.
-/// Returns `(module label, session report)` rows in module order.
-fn fault_sim_design(
-    dfg: &lobist_dfg::Dfg,
-    d: &Design,
-    width: u32,
-    sim_opts: lobist_engine::FaultSimOptions,
-    metrics: &lobist_engine::Metrics,
-) -> Vec<(String, lobist_gatesim::bist_mode::SessionReport)> {
-    use lobist_dfg::modules::ModuleClass;
-    let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-    let mut rows = Vec::new();
-    for m in d.data_path.module_ids() {
-        let seeds = (0xACE1 + m.index() as u64, 0x1BAD + m.index() as u64);
-        let (report, stats) = match d.data_path.module_class(m) {
-            ModuleClass::Op(kind) => {
-                let net = lobist_gatesim::modules::unit_for(kind, width);
-                lobist_engine::bist_session_parallel(&net, &[], width, patterns, seeds, sim_opts)
-            }
-            ModuleClass::Alu => {
-                let mut kinds: Vec<lobist_dfg::OpKind> = d
-                    .data_path
-                    .module_ops(m)
-                    .iter()
-                    .map(|&op| dfg.op(op).kind)
-                    .collect();
-                kinds.sort();
-                kinds.dedup();
-                let net = lobist_gatesim::modules::alu(&kinds, width);
-                let mut controls = vec![false; kinds.len()];
-                controls[0] = true;
-                lobist_engine::bist_session_parallel(
-                    &net, &controls, width, patterns, seeds, sim_opts,
-                )
-            }
-        };
-        metrics.record_fault_sim(&stats);
-        rows.push((
-            format!("M{} ({})", m.index() + 1, d.data_path.module_class(m)),
-            report,
-        ));
-    }
-    rows
 }
 
 /// Appends one design's lint verdict to `out` (the `--lint` gate format).
@@ -761,22 +518,22 @@ fn append_lint_verdict(out: &mut String, label: &str, report: &Report) {
 pub fn run(args: &[String]) -> Result<String, CliError> {
     use std::fmt::Write as _;
     let o = parse_args(args)?;
-    let command = o.positional.first().map(String::as_str).unwrap_or("help");
+    let template = o.request()?;
+    let name = o.positional.first().map(String::as_str).unwrap_or("help");
     let mut out = String::new();
-    match command {
+    match name {
         "help" | "--help" | "-h" => out.push_str(USAGE),
         "synth" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let opts = flow_options(&o, o.flow == "traditional");
-            let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
+            let s = command::synth_full(&o.design_request(template)?)?;
+            let d = &s.design;
             if o.json {
-                let _ = writeln!(out, "{}", design_json(&o.flow, &d));
+                let _ = writeln!(out, "{}", design_json(o.flow.name(), d));
                 return Ok(out);
             }
             let _ = writeln!(
                 out,
                 "{} flow: {} registers, {} muxes, {} functional gates",
-                o.flow,
+                o.flow.name(),
                 d.data_path.num_registers(),
                 d.data_path.num_muxes(),
                 d.stats.functional_gates.get()
@@ -787,7 +544,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let _ = write!(
                     out,
                     "{}",
-                    lobist_datapath::stats::describe(&d.data_path, &dfg)
+                    lobist_datapath::stats::describe(&d.data_path, &s.dfg)
                 );
             }
             if o.trace {
@@ -805,8 +562,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     "{}",
                     lobist_datapath::verilog::to_verilog(
                         &d.data_path,
-                        &dfg,
-                        &schedule,
+                        &s.dfg,
+                        &s.schedule,
                         "lobist_design",
                         o.width,
                     )
@@ -814,12 +571,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "compare" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
+            let mut request = o.design_request(template)?;
             let mut rows = Vec::new();
-            for (label, traditional) in [("testable", false), ("traditional", true)] {
-                let opts = flow_options(&o, traditional);
-                let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
-                rows.push((label, d));
+            for flow in [Flow::Testable, Flow::Traditional] {
+                request.flow = flow;
+                rows.push((flow.name(), command::synth_full(&request)?.design));
             }
             if o.json {
                 let items: Vec<String> = rows.iter().map(|(l, d)| design_json(l, d)).collect();
@@ -883,28 +639,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "{}", lobist_dfg::parse::to_text(&dfg, &schedule));
         }
         "faultsim" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let opts = flow_options(&o, false);
-            let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
-            let width = o.width.clamp(2, 32);
-            let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-            // The sessions run on the engine's cone-limited differential
-            // simulator: faults are collapsed into structural
-            // equivalence classes and the classes partitioned across the
-            // worker pool; the report is byte-identical to a serial,
-            // uncollapsed, 64-lane run for any --jobs or --lanes value.
-            let sim_opts = lobist_engine::FaultSimOptions {
-                workers: worker_count(&o),
-                collapse: true,
-                lanes: o.lanes,
-            };
-            let metrics = lobist_engine::Metrics::new();
+            let engine = Engine::new(worker_count(&o));
+            let sim = command::faultsim(&engine, &o.design_request(template)?)?;
             let _ = writeln!(
                 out,
                 "{:<10} {:>7} {:>9} {:>11} {:>8}",
                 "module", "faults", "ideal", "signature", "aliased"
             );
-            for (label, report) in fault_sim_design(&dfg, &d, width, sim_opts, &metrics) {
+            for (label, report) in &sim.modules {
                 let _ = writeln!(
                     out,
                     "{:<10} {:>7} {:>8.1}% {:>10.1}% {:>8}",
@@ -915,46 +657,47 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     report.aliased()
                 );
             }
-            let _ = writeln!(out, "({patterns} patterns per session, width {width})");
+            let _ = writeln!(
+                out,
+                "({} patterns per session, width {})",
+                sim.patterns, sim.width
+            );
             if o.metrics {
-                let _ = writeln!(out, "{}", metrics.snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
             }
         }
         "explore" => {
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-            let candidates: Vec<ModuleSet> = o
+            let mut request = o.design_request(template)?;
+            request.candidates = o
                 .candidates
                 .as_deref()
                 .ok_or_else(|| CliError::Usage("missing --candidates".into()))?
                 .split(';')
                 .map(|s| s.trim().parse().map_err(CliError::Modules))
                 .collect::<Result<_, _>>()?;
-            let mut config = lobist_alloc::explore::ExploreConfig::new(candidates);
-            config.flow = flow_options(&o, false);
-            let engine = lobist_engine::Engine::new(worker_count(&o))
-                .with_canon(o.canon)
-                .with_subcanon(o.subcanon);
-            let result = lobist_engine::explore_parallel(&dfg, &config, &engine);
+            let engine = Engine::new(worker_count(&o));
+            let (result, _) = command::explore(&engine, &request)?;
             out.push_str(&lobist_engine::render_report(&result));
             if o.lint {
                 let policy = lint_policy(&o)?;
+                let dfg = command::parse_design(&request.design)?;
+                let flow = request.flow_options();
                 let mut denied = 0;
                 for p in &result.points {
-                    let d = synthesize(&dfg, &p.schedule, &p.modules, &config.flow)
-                        .map_err(CliError::Flow)?;
-                    let (report, _) =
-                        lint_design(&dfg, &p.schedule, &d, &config.flow, worker_count(&o), None);
+                    let linted = command::lint_design(
+                        &dfg,
+                        &p.schedule,
+                        &p.modules,
+                        &flow,
+                        worker_count(&o),
+                        None,
+                    )?;
                     append_lint_verdict(
                         &mut out,
                         &format!("{} latency {}", p.modules, p.latency),
-                        &report,
+                        &linted.report,
                     );
-                    denied += policy.denied_count(&report);
+                    denied += policy.denied_count(&linted.report);
                 }
                 if denied > 0 {
                     return Err(CliError::Lint {
@@ -1003,27 +746,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::Usage("missing --modules".into()))?
                 .parse()
                 .map_err(CliError::Modules)?;
-            let flow = flow_options(&o, o.flow == "traditional");
+            let flow = template.flow_options();
             let mut jobs = Vec::new();
             let mut parsed = Vec::new();
+            let mut texts = Vec::new();
             for path in &design_paths {
                 let text =
                     std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-                // Scheduled files keep their `@ step` annotations;
-                // unscheduled ones get a resource-constrained list
-                // schedule under the shared module set.
-                let (dfg, schedule) = match parse_dfg(&text) {
-                    Ok(parsed) => parsed,
-                    Err(_) => {
-                        let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text)
-                            .map_err(CliError::Parse)?;
-                        let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                            .map_err(|e| {
-                                CliError::Usage(format!("{path}: cannot schedule: {e}"))
-                            })?;
-                        (dfg, schedule)
-                    }
-                };
+                let (dfg, schedule) = command::load(&text, &modules)?;
+                texts.push(text);
                 let dfg = std::sync::Arc::new(dfg);
                 jobs.push(lobist_engine::Job {
                     dfg: dfg.clone(),
@@ -1036,9 +767,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 });
                 parsed.push((dfg, schedule));
             }
-            let mut engine = lobist_engine::Engine::new(worker_count(&o))
-                .with_canon(o.canon)
-                .with_subcanon(o.subcanon);
+            let mut engine = Engine::new(worker_count(&o));
             if o.progress {
                 // Stream each engine event as its own flushed JSONL
                 // line so a pipe consumer sees progress live, not at
@@ -1089,20 +818,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 // Fault-simulate each synthesized design's BIST
                 // sessions, recording the counters on the engine's
                 // metrics so `--metrics` reports them.
-                let width = o.width.clamp(2, 32);
-                let sim_opts = lobist_engine::FaultSimOptions {
-                    workers: worker_count(&o),
-                    collapse: true,
-                    lanes: o.lanes,
-                };
-                for (outcome, (dfg, schedule)) in outcomes.iter().zip(&parsed) {
+                for (outcome, text) in outcomes.iter().zip(texts) {
                     if outcome.result.is_err() {
                         continue;
                     }
-                    let d = synthesize(dfg, schedule, &modules, &flow).map_err(CliError::Flow)?;
-                    for (label, report) in
-                        fault_sim_design(dfg, &d, width, sim_opts, engine.metrics_handle())
-                    {
+                    let request = Request {
+                        design: text,
+                        modules: Some(modules.clone()),
+                        ..template.clone()
+                    };
+                    for (label, report) in command::faultsim(&engine, &request)?.modules {
                         let _ = writeln!(
                             out,
                             "faultsim {}: {label} {} faults, {:.1}% coverage, {} aliased",
@@ -1122,8 +847,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     if outcome.result.is_err() {
                         continue;
                     }
-                    let d = synthesize(dfg, schedule, &modules, &flow).map_err(CliError::Flow)?;
-                    let (report, _) = lint_design(dfg, schedule, &d, &flow, workers, None);
+                    let report =
+                        command::lint_design(dfg, schedule, &modules, &flow, workers, None)?.report;
                     append_lint_verdict(&mut out, &outcome.label, &report);
                     denied += policy.denied_count(&report);
                 }
@@ -1215,52 +940,22 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "anneal" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let flow = flow_options(&o, false);
-            let ma = lobist_alloc::module_assign::assign_modules(&dfg, &schedule, &modules)
-                .map_err(|e| CliError::Flow(e.into()))?;
-            let config = lobist_alloc::anneal::AnnealConfig {
-                iterations: o.iterations.unwrap_or(400),
-                seed: o.seed.unwrap_or(0xA11EA1),
-                batch: o.batch.unwrap_or(16),
-                ..Default::default()
-            };
-            let workers = worker_count(&o);
-            let chains = o.chains.unwrap_or(1);
-            // One chain anneals with pool-backed speculative batches;
-            // several run serial chains across the pool with a
-            // deterministic best-of merge. Either way the report is
-            // byte-identical for any --jobs value.
-            let (result, stats) = if chains > 1 {
-                lobist_engine::anneal_multichain(
-                    &dfg,
-                    &schedule,
-                    flow.lifetime_options,
-                    &ma,
-                    &flow,
-                    &config,
-                    chains,
-                    workers,
-                )
-            } else {
-                lobist_engine::anneal_parallel(
-                    &dfg,
-                    &schedule,
-                    flow.lifetime_options,
-                    &ma,
-                    &flow,
-                    &config,
-                    workers,
-                )
-            }
-            .map_err(CliError::Flow)?;
-            let heuristic = synthesize(&dfg, &schedule, &modules, &flow)
-                .map(|d| d.bist.overhead.get())
+            let request = o.design_request(template)?;
+            let engine = Engine::new(worker_count(&o));
+            let (result, stats) = command::anneal(&engine, &request)?;
+            let heuristic = command::synth_full(&request)
+                .map(|s| s.design.bist.overhead.get())
                 .ok();
+            let config = &request.anneal;
+            let chains = request.chains;
             let _ = writeln!(
                 out,
                 "annealed search: {} iterations, seed 0x{:X}, batch {}, {} chain(s), {} worker(s)",
-                config.iterations, config.seed, config.batch, chains, workers
+                config.iterations,
+                config.seed,
+                config.batch,
+                chains,
+                worker_count(&o)
             );
             let _ = writeln!(
                 out,
@@ -1303,47 +998,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 stats.moves_per_sec(&result)
             );
             if o.metrics {
-                let metrics = lobist_engine::Metrics::new();
-                metrics.record_anneal(&result, &stats);
-                let _ = writeln!(out, "{}", metrics.snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
             }
         }
         "lint" => {
             let policy = lint_policy(&o)?;
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-            let modules: ModuleSet = o
-                .modules
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-                .parse()
-                .map_err(CliError::Modules)?;
-            // Same fallback as `batch`: unscheduled files get a
-            // resource-constrained list schedule under the module set.
-            let (dfg, schedule) = match parse_dfg(&text) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    let dfg =
-                        lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-                    let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                        .map_err(|e| CliError::Usage(format!("{path}: cannot schedule: {e}")))?;
-                    (dfg, schedule)
-                }
-            };
-            let flow = flow_options(&o, o.flow == "traditional");
-            let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
-            let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, stats) = lint_design(
-                &dfg,
-                &schedule,
-                &d,
-                &flow,
-                worker_count(&o),
-                metrics.as_ref(),
-            );
+            let engine = Engine::new(worker_count(&o));
+            let linted = command::lint(&engine, &o.design_request(template)?)?;
+            let report = &linted.report;
             if o.json {
                 // Splice the run timing in as the report's last key so
                 // `lint --json` output is self-contained; the report
@@ -1355,14 +1017,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let _ = writeln!(
                     out,
                     "{body},\n  \"timing\": {}\n}}",
-                    lint_timing_json(&stats)
+                    lint_timing_json(&linted.stats)
                 );
             } else if report.is_clean() {
                 let _ = writeln!(
                     out,
                     "lint: clean ({} registers, {} modules audited)",
-                    d.data_path.num_registers(),
-                    d.data_path.num_modules()
+                    linted.registers, linted.modules
                 );
             } else {
                 out.push_str(&report.render_text());
@@ -1373,10 +1034,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     report.warning_count()
                 );
             }
-            if let Some(m) = &metrics {
-                let _ = writeln!(out, "{}", m.snapshot().to_json());
+            if o.metrics {
+                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
             }
-            let denied = policy.denied_count(&report);
+            let denied = policy.denied_count(report);
             if denied > 0 {
                 return Err(CliError::Lint {
                     output: out,
@@ -1385,42 +1046,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "analyze" => {
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-            let modules: ModuleSet = o
-                .modules
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-                .parse()
-                .map_err(CliError::Modules)?;
-            // Same fallback as `lint`: unscheduled files get a
-            // resource-constrained list schedule under the module set.
-            let (dfg, schedule) = match parse_dfg(&text) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    let dfg =
-                        lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-                    let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                        .map_err(|e| CliError::Usage(format!("{path}: cannot schedule: {e}")))?;
-                    (dfg, schedule)
-                }
-            };
-            let flow = flow_options(&o, o.flow == "traditional");
-            let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
-            let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-            let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, _) =
-                lobist_engine::analyze_parallel(&unit, worker_count(&o), metrics.as_ref());
+            let engine = Engine::new(worker_count(&o));
+            let (report, _) = command::analyze(&engine, &o.design_request(template)?)?;
             if o.json {
                 let _ = writeln!(out, "{}", report.to_json(o.full));
             } else {
                 out.push_str(&report.render_text());
             }
-            if let Some(m) = &metrics {
-                let _ = writeln!(out, "{}", m.snapshot().to_json());
+            if o.metrics {
+                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
             }
         }
         "serve" => {
@@ -1443,8 +1077,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 max_active: o.max_active.unwrap_or(defaults.max_active),
                 store: o.store.as_ref().map(PathBuf::from),
                 store_max_bytes: o.store_max_bytes.unwrap_or(defaults.store_max_bytes),
-                canon: o.canon,
-                subcanon: o.subcanon,
                 ..defaults
             };
             let server =
@@ -1504,7 +1136,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     lobist_server::json::escape(c)
                 ));
             }
-            fields.push(format!("\"flow\":\"{}\"", o.flow));
+            fields.push(format!("\"flow\":\"{}\"", o.flow.name()));
             fields.push(format!("\"width\":{}", o.width));
             if o.repair {
                 fields.push("\"repair\":true".to_owned());
@@ -2569,8 +2201,8 @@ mod tests {
         let mut args = argv(&["batch"]);
         args.extend(paths.iter().map(|p| p.to_string()));
         args.extend(argv(&["--modules", "1+,1*,1-", "--metrics"]));
-        let canon_on = run(&args.clone()).unwrap();
-        let json = canon_on.lines().last().expect("metrics line");
+        let out = run(&args).unwrap();
+        let json = out.lines().last().expect("metrics line");
         let iso_hits: u64 = json
             .split("\"iso_hits\":")
             .nth(1)
@@ -2578,49 +2210,13 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("no canon section in {json}"));
         assert!(iso_hits > 0, "no iso hits over permuted twins: {json}");
-        // `--canon off` re-keys by exact text: no iso hits, but every
-        // reported design row is byte-identical — canonization is a
-        // cache strategy, never a result change.
-        args.extend(argv(&["--canon", "off"]));
-        let canon_off = run(&args).unwrap();
-        let rows = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('{'))
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&canon_on), rows(&canon_off));
-        let off_json = canon_off.lines().last().expect("metrics line");
-        assert!(off_json.contains("\"iso_hits\":0"), "{off_json}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn canon_flag_rejects_unknown_values() {
-        let path = write_temp("lobist_cli_canon_bad.dfg", DESIGN);
-        let err = run(&argv(&[
-            "batch",
-            &path,
-            "--modules",
-            "1+,1*",
-            "--canon",
-            "maybe",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        assert!(err.to_string().contains("bad --canon value"), "{err}");
+    fn corpus_seed_flags_reject_unknown_values() {
         let err = run(&argv(&["corpus", "--permute", "x"])).unwrap_err();
         assert!(err.to_string().contains("bad permute seed"), "{err}");
-        let err = run(&argv(&[
-            "batch",
-            &path,
-            "--modules",
-            "1+,1*",
-            "--subcanon",
-            "maybe",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("bad --subcanon value"), "{err}");
         let err = run(&argv(&["corpus", "--twin-kernels", "x"])).unwrap_err();
         assert!(err.to_string().contains("bad twin-kernels seed"), "{err}");
     }
@@ -2664,8 +2260,8 @@ mod tests {
         let mut args = argv(&["batch"]);
         args.extend(paths.iter().map(|p| p.to_string()));
         args.extend(argv(&["--modules", "1+,1*,1-", "--metrics"]));
-        let on = run(&args.clone()).unwrap();
-        let json = on.lines().last().expect("metrics line");
+        let out = run(&args).unwrap();
+        let json = out.lines().last().expect("metrics line");
         let core_hits: u64 = json
             .split("\"core_hits\":")
             .nth(1)
@@ -2674,19 +2270,6 @@ mod tests {
             .unwrap_or_else(|| panic!("no subcanon section in {json}"));
         assert!(core_hits > 0, "no core hits over twin kernels: {json}");
         assert!(json.contains("\"cache\":{\"hits\":0"), "{json}");
-        // `--subcanon off` synthesizes every sibling from scratch: no
-        // subcanon section, byte-identical design rows.
-        args.extend(argv(&["--subcanon", "off"]));
-        let off = run(&args).unwrap();
-        let rows = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with('{'))
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&on), rows(&off));
-        let off_json = off.lines().last().expect("metrics line");
-        assert!(!off_json.contains("\"subcanon\""), "{off_json}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -118,3 +118,23 @@ fn binary_help_documents_jobs_flag() {
     assert!(text.contains("--jobs"), "{text}");
     assert!(text.contains("batch"), "{text}");
 }
+
+#[test]
+fn binary_rejects_a_design_without_operations() {
+    for (name, text) in [("empty", ""), ("wires", "input a\noutput a\n")] {
+        let path = std::env::temp_dir().join(format!("lobist_bin_{name}.dfg"));
+        std::fs::write(&path, text).expect("write");
+        for cmd in ["synth", "faultsim", "anneal", "lint", "analyze"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
+                .args([cmd, path.to_str().expect("utf8"), "--modules", "1+,1*"])
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains("design has no operations"),
+                "{cmd} {name}: {err}"
+            );
+        }
+    }
+}

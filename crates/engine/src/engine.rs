@@ -60,6 +60,23 @@ pub struct JobOutcome {
     pub timings: StageTimings,
 }
 
+impl JobOutcome {
+    /// The tier that answered: `"iso"` for an isomorphic hit (a twin's
+    /// result remapped), `"memory"` or `"store"` for an exact hit,
+    /// `"fresh"` for an evaluation.
+    pub fn tier(&self) -> &'static str {
+        if self.iso_hit {
+            "iso"
+        } else if self.cache_hit {
+            "memory"
+        } else if self.store_hit {
+            "store"
+        } else {
+            "fresh"
+        }
+    }
+}
+
 /// A parallel batch-synthesis engine.
 ///
 /// One engine owns one worker budget, one result cache and one metrics
@@ -153,8 +170,8 @@ impl Engine {
     /// synthesis core by rebased canonical encoding and tracks canonical
     /// fragment keys across designs; results are byte-identical either
     /// way (shift-invariance is property-tested in the core crate), so
-    /// the toggle exists for the overhead benchmarks and as an escape
-    /// hatch.
+    /// the toggle exists only as the off-reference of the determinism
+    /// tests and the overhead benchmarks.
     pub fn with_subcanon(mut self, enabled: bool) -> Self {
         self.subcanon = enabled.then(|| Arc::new(FragmentTier::new()));
         self
@@ -170,16 +187,12 @@ impl Engine {
     /// through the canonical form — see
     /// [`lobist_alloc::explore::evaluate_candidate_timed`] — so results
     /// are byte-identical either way; the toggle only controls whether
-    /// the cache can answer a renamed/reordered twin, and exists for the
-    /// overhead benchmarks and as an escape hatch.
+    /// the cache can answer a renamed/reordered twin, and exists only as
+    /// the off-reference of the determinism tests and the overhead
+    /// benchmarks.
     pub fn with_canon(mut self, canon: bool) -> Self {
         self.canon = canon;
         self
-    }
-
-    /// `true` when canonical (isomorphism-level) job keys are enabled.
-    pub fn canon(&self) -> bool {
-        self.canon
     }
 
     /// Attaches a durable second-tier result store (builder style).

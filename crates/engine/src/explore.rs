@@ -18,6 +18,17 @@ use crate::engine::{Engine, Job};
 /// worker pool. Produces exactly what `lobist_alloc::explore::explore`
 /// produces, in the same order.
 pub fn explore_parallel(dfg: &Dfg, config: &ExploreConfig, engine: &Engine) -> ExploreResult {
+    explore_with_workers(dfg, config, engine, engine.workers()).0
+}
+
+/// [`explore_parallel`] on `workers` threads, also returning the cache
+/// tier that answered each engine job, in submission order.
+pub(crate) fn explore_with_workers(
+    dfg: &Dfg,
+    config: &ExploreConfig,
+    engine: &Engine,
+    workers: usize,
+) -> (ExploreResult, Vec<&'static str>) {
     let (candidates, mut failures) = enumerate_candidates(dfg, config);
     let shared = Arc::new(dfg.clone());
     let jobs: Vec<Job> = candidates
@@ -30,13 +41,15 @@ pub fn explore_parallel(dfg: &Dfg, config: &ExploreConfig, engine: &Engine) -> E
         })
         .collect();
     let mut points = Vec::new();
-    for outcome in engine.run(jobs) {
+    let mut tiers = Vec::new();
+    for outcome in engine.run_with_workers(jobs, workers) {
+        tiers.push(outcome.tier());
         match outcome.result {
             Ok(p) => points.push(p),
             Err(f) => failures.push(f),
         }
     }
-    assemble(points, failures)
+    (assemble(points, failures), tiers)
 }
 
 /// Renders an exploration result as the sweep table the CLI prints:

@@ -25,6 +25,8 @@
 //!   search of `lobist_alloc::anneal`: pool-backed speculative batch
 //!   evaluation (byte-identical to the serial chain) and a multi-chain
 //!   best-of sweep;
+//! * [`command`] — the command layer the CLI and the daemon share:
+//!   one typed request, one design loader and one function per command;
 //! * [`lint`] — the static-verifier passes of `lobist_lint`, one pool
 //!   task per pass, merged into a report that is byte-identical for any
 //!   worker count, with per-pass timing histograms in the metrics.
@@ -35,6 +37,7 @@
 pub mod analyze;
 pub mod anneal;
 pub mod cache;
+pub mod command;
 mod engine;
 pub mod faultsim;
 pub mod lint;

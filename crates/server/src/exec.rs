@@ -1,5 +1,6 @@
-//! Request execution: turns a parsed [`Request`] into the `result`
-//! event payload, running on the server's shared engine.
+//! Request execution: runs a parsed [`Request`] through the shared
+//! command layer ([`lobist_engine::command`]) on the server's engine
+//! and renders the `result` event payload.
 //!
 //! The payload string must be a pure function of the job's result —
 //! never of timing, worker count, or cache provenance — so that a
@@ -7,22 +8,12 @@
 //! original evaluation. Anything that legitimately varies (wall time,
 //! cache tier) is reported on the `done` event by the caller.
 
-use std::sync::Arc;
-
-use lobist_alloc::anneal::AnnealConfig;
-use lobist_alloc::explore::{assemble, enumerate_candidates, Candidate, DesignPoint, ExploreConfig};
-use lobist_alloc::flow::{synthesize, FlowOptions};
-use lobist_datapath::area::AreaModel;
-use lobist_dfg::lifetime::LifetimeOptions;
-use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::parse::{parse_dfg, parse_unscheduled_dfg};
-use lobist_dfg::{Dfg, Schedule};
-use lobist_engine::Job;
-use lobist_lint::{LintUnit, PassRegistry};
+use lobist_alloc::explore::DesignPoint;
+use lobist_engine::command::{self, CommandError};
+use lobist_engine::Engine;
 
 use crate::json::escape;
 use crate::proto::{Command, Request};
-use crate::server::Shared;
 
 /// The outcome of a job-running request.
 pub(crate) struct JobBody {
@@ -39,70 +30,111 @@ pub(crate) struct JobBody {
     pub payload: String,
 }
 
-/// Executes one admitted request.
-pub(crate) fn execute(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    match request.cmd {
-        Command::Synth => synth(request, shared),
-        Command::Explore => explore(request, shared),
-        Command::Anneal => anneal(request, shared),
-        Command::FaultSim => faultsim(request, shared),
-        Command::Lint => lint(request, shared),
-        Command::Analyze => analyze(request, shared),
-        _ => Err("not a job command".into()),
-    }
-}
-
-/// The per-request worker budget: the request's `jobs` clamped by
-/// policy, defaulting to the engine's own worker count.
-fn effective_jobs(request: &Request, shared: &Shared) -> usize {
-    request
-        .jobs
-        .unwrap_or(shared.config.workers)
-        .min(shared.config.max_request_jobs)
-        .max(1)
-}
-
-fn flow_options(request: &Request) -> FlowOptions {
-    let mut f = if request.flow == "traditional" {
-        FlowOptions::traditional()
-    } else {
-        FlowOptions::testable()
+/// Executes one admitted job request.
+pub(crate) fn execute(request: &Request, engine: &Engine) -> Result<JobBody, CommandError> {
+    let job = &request.job;
+    let always_runs = |payload| JobBody {
+        ok: true,
+        cache: "none",
+        payload,
     };
-    f.area = AreaModel::with_width(request.width);
-    f.lifetime_options = if request.port_inputs {
-        LifetimeOptions::port_inputs()
-    } else {
-        LifetimeOptions::registered_inputs()
-    };
-    f.repair_untestable = request.repair;
-    f
-}
-
-fn require<'a>(field: &'a Option<String>, name: &str) -> Result<&'a str, String> {
-    field
-        .as_deref()
-        .ok_or_else(|| format!("missing field `{name}`"))
-}
-
-/// Parses the inline design, scheduled or not — unscheduled designs get
-/// a resource-constrained list schedule under the module set (the same
-/// fallback the CLI's `batch` and `lint` commands use).
-fn load_design(text: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), String> {
-    match parse_dfg(text) {
-        Ok(parsed) => Ok(parsed),
-        Err(_) => {
-            let dfg = parse_unscheduled_dfg(text).map_err(|e| format!("design: {e}"))?;
-            let schedule = lobist_dfg::scheduling::list_schedule(&dfg, modules)
-                .map_err(|e| format!("cannot schedule design: {e}"))?;
-            Ok((dfg, schedule))
+    Ok(match request.cmd {
+        Command::Synth => {
+            let outcome = command::synth(engine, job)?;
+            let payload = match &outcome.result {
+                Ok(p) => point_json(p),
+                Err((m, e)) => format!(
+                    "\"failure\":{{\"modules\":\"{}\",\"error\":\"{}\"}}",
+                    escape(m),
+                    escape(e)
+                ),
+            };
+            JobBody {
+                ok: outcome.result.is_ok(),
+                cache: outcome.tier(),
+                payload,
+            }
         }
-    }
-}
-
-fn parse_modules(request: &Request) -> Result<ModuleSet, String> {
-    require(&request.modules, "modules")?
-        .parse()
-        .map_err(|e| format!("modules: {e}"))
+        Command::Explore => {
+            let (result, tiers) = command::explore(engine, job)?;
+            let pareto: Vec<String> = result.pareto.iter().map(usize::to_string).collect();
+            JobBody {
+                ok: result.failures.is_empty(),
+                cache: provenance(&tiers),
+                payload: format!(
+                    "\"points\":{},\"pareto\":[{}],\"failures\":{},\"report\":\"{}\"",
+                    result.points.len(),
+                    pareto.join(","),
+                    result.failures.len(),
+                    escape(&lobist_engine::render_report(&result))
+                ),
+            }
+        }
+        Command::Anneal => {
+            let (result, stats) = command::anneal(engine, job)?;
+            always_runs(format!(
+                concat!(
+                    "\"anneal\":{{\"iterations\":{iters},\"seed\":{seed},",
+                    "\"chains\":{chains},\"initial_overhead\":{init},",
+                    "\"overhead\":{best},\"evaluated\":{eval},\"accepted\":{acc},",
+                    "\"stalled\":{stall},\"best_chain\":{bc}}}"
+                ),
+                iters = job.anneal.iterations,
+                seed = job.anneal.seed,
+                chains = job.chains,
+                init = result.initial_overhead,
+                best = result.overhead,
+                eval = result.evaluated,
+                acc = result.accepted,
+                stall = result.stalled,
+                bc = stats.best_chain,
+            ))
+        }
+        Command::FaultSim => {
+            let sim = command::faultsim(engine, job)?;
+            let rows: Vec<String> = sim
+                .modules
+                .iter()
+                .map(|(label, report)| {
+                    format!(
+                        concat!(
+                            "{{\"module\":\"{label}\",\"faults\":{faults},",
+                            "\"coverage\":{cov:.4},\"aliased\":{alias}}}"
+                        ),
+                        label = label,
+                        faults = report.total_faults,
+                        cov = report.coverage(),
+                        alias = report.aliased(),
+                    )
+                })
+                .collect();
+            always_runs(format!(
+                "\"faultsim\":{{\"width\":{},\"patterns\":{},\"modules\":[{}]}}",
+                sim.width,
+                sim.patterns,
+                rows.join(",")
+            ))
+        }
+        Command::Lint => {
+            let report = command::lint(engine, job)?.report;
+            always_runs(format!(
+                "\"lint\":{{\"clean\":{},\"errors\":{},\"warnings\":{},\"text\":\"{}\"}}",
+                report.is_clean(),
+                report.error_count(),
+                report.warning_count(),
+                escape(&report.render_text()),
+            ))
+        }
+        // A pure function of the report, so a store-served replay is
+        // byte-identical to the original run.
+        Command::Analyze => always_runs(format!(
+            "\"analyze\":{}",
+            command::analyze(engine, job)?.0.to_json(false)
+        )),
+        Command::Ping | Command::Metrics | Command::Shutdown => {
+            unreachable!("{:?} is answered inline", request.cmd)
+        }
+    })
 }
 
 /// Renders one design point as the deterministic `result` payload.
@@ -134,292 +166,18 @@ fn point_json(p: &DesignPoint) -> String {
     )
 }
 
-fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let job = Job {
-        dfg: Arc::new(dfg),
-        candidate: Candidate {
-            modules: modules.clone(),
-            schedule,
-        },
-        flow,
-        label: modules.to_string(),
-    };
-    let jobs = effective_jobs(request, shared);
-    let mut outcomes = shared.engine.run_with_workers(vec![job], jobs);
-    let outcome = outcomes.pop().expect("one job, one outcome");
-    let cache = if outcome.iso_hit {
-        // An isomorphic twin answered from the canonical cache: the
-        // caller's exact design was never synthesized, only remapped.
-        "iso"
-    } else if outcome.cache_hit {
-        "memory"
-    } else if outcome.store_hit {
-        "store"
-    } else {
-        "fresh"
-    };
-    match &outcome.result {
-        Ok(p) => Ok(JobBody {
-            ok: true,
-            cache,
-            payload: point_json(p),
-        }),
-        Err((m, e)) => Ok(JobBody {
-            ok: false,
-            cache,
-            payload: format!(
-                "\"failure\":{{\"modules\":\"{}\",\"error\":\"{}\"}}",
-                escape(m),
-                escape(e)
-            ),
-        }),
-    }
-}
-
-fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let text = require(&request.candidates, "candidates")?;
-    let dfg = parse_unscheduled_dfg(design).map_err(|e| format!("design: {e}"))?;
-    let candidates: Vec<ModuleSet> = text
-        .split(';')
-        .map(|s| s.trim().parse().map_err(|e| format!("candidates: {e}")))
-        .collect::<Result<_, _>>()?;
-    let mut config = ExploreConfig::new(candidates);
-    config.flow = flow_options(request);
-    // The same fan-out as `lobist_engine::explore_parallel`, but with
-    // the per-request worker budget instead of the engine default.
-    let (candidates, mut failures) = enumerate_candidates(&dfg, &config);
-    let shared_dfg = Arc::new(dfg);
-    let jobs: Vec<Job> = candidates
-        .into_iter()
-        .map(|candidate| Job {
-            dfg: Arc::clone(&shared_dfg),
-            label: candidate.modules.to_string(),
-            candidate,
-            flow: config.flow.clone(),
-        })
-        .collect();
-    let outcomes = shared
-        .engine
-        .run_with_workers(jobs, effective_jobs(request, shared));
-    let served_from = cache_provenance(&outcomes);
-    let mut points = Vec::new();
-    for outcome in outcomes {
-        match outcome.result {
-            Ok(p) => points.push(p),
-            Err(f) => failures.push(f),
-        }
-    }
-    let result = assemble(points, failures);
-    let report = lobist_engine::render_report(&result);
-    let pareto: Vec<String> = result.pareto.iter().map(usize::to_string).collect();
-    Ok(JobBody {
-        ok: result.failures.is_empty(),
-        cache: served_from,
-        payload: format!(
-            "\"points\":{},\"pareto\":[{}],\"failures\":{},\"report\":\"{}\"",
-            result.points.len(),
-            pareto.join(","),
-            result.failures.len(),
-            escape(&report)
-        ),
-    })
-}
-
-/// Summarizes a batch's cache provenance: `"iso"` when every job was a
-/// hit and at least one was isomorphic, `"memory"`/`"store"` only when
+/// Summarizes a batch's cache tiers: `"iso"` when every job was a hit
+/// and at least one was isomorphic, `"memory"`/`"store"` only when
 /// every job came from that tier, `"fresh"` otherwise.
-fn cache_provenance(outcomes: &[lobist_engine::JobOutcome]) -> &'static str {
-    if outcomes.is_empty() {
-        return "fresh";
-    }
-    let all_hits = outcomes.iter().all(|o| o.cache_hit || o.store_hit);
-    if all_hits && outcomes.iter().any(|o| o.iso_hit) {
+fn provenance(tiers: &[&'static str]) -> &'static str {
+    let all = |accept: &[&str]| !tiers.is_empty() && tiers.iter().all(|t| accept.contains(t));
+    if all(&["iso", "memory", "store"]) && tiers.contains(&"iso") {
         "iso"
-    } else if outcomes.iter().all(|o| o.cache_hit) {
+    } else if all(&["memory"]) {
         "memory"
-    } else if all_hits {
+    } else if all(&["memory", "store"]) {
         "store"
     } else {
         "fresh"
     }
-}
-
-fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let ma = lobist_alloc::module_assign::assign_modules(&dfg, &schedule, &modules)
-        .map_err(|e| format!("module assignment: {e}"))?;
-    let config = AnnealConfig {
-        iterations: request.iterations.unwrap_or(400),
-        seed: request.seed.unwrap_or(0xA11EA1),
-        batch: request.batch.unwrap_or(16),
-        ..Default::default()
-    };
-    let workers = effective_jobs(request, shared);
-    let chains = request.chains.unwrap_or(1);
-    if chains == 0 {
-        return Err("field `chains` must be at least 1".into());
-    }
-    let (result, stats) = if chains > 1 {
-        lobist_engine::anneal_multichain(
-            &dfg,
-            &schedule,
-            flow.lifetime_options,
-            &ma,
-            &flow,
-            &config,
-            chains,
-            workers,
-        )
-    } else {
-        lobist_engine::anneal_parallel(
-            &dfg,
-            &schedule,
-            flow.lifetime_options,
-            &ma,
-            &flow,
-            &config,
-            workers,
-        )
-    }
-    .map_err(|e| format!("anneal: {e}"))?;
-    shared.engine.metrics_handle().record_anneal(&result, &stats);
-    Ok(JobBody {
-        ok: true,
-        cache: "none",
-        payload: format!(
-            concat!(
-                "\"anneal\":{{\"iterations\":{iters},\"seed\":{seed},",
-                "\"chains\":{chains},\"initial_overhead\":{init},",
-                "\"overhead\":{best},\"evaluated\":{eval},\"accepted\":{acc},",
-                "\"stalled\":{stall},\"best_chain\":{bc}}}"
-            ),
-            iters = config.iterations,
-            seed = config.seed,
-            chains = chains,
-            init = result.initial_overhead,
-            best = result.overhead,
-            eval = result.evaluated,
-            acc = result.accepted,
-            stall = result.stalled,
-            bc = stats.best_chain,
-        ),
-    })
-}
-
-fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    use lobist_dfg::modules::ModuleClass;
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
-    let width = request.width.clamp(2, 32);
-    let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-    let sim_opts = lobist_engine::FaultSimOptions {
-        workers: effective_jobs(request, shared),
-        collapse: true,
-        lanes: request.lanes,
-    };
-    let mut rows = Vec::new();
-    for m in d.data_path.module_ids() {
-        let seeds = (0xACE1 + m.index() as u64, 0x1BAD + m.index() as u64);
-        let (report, stats) = match d.data_path.module_class(m) {
-            ModuleClass::Op(kind) => {
-                let net = lobist_gatesim::modules::unit_for(kind, width);
-                lobist_engine::bist_session_parallel(&net, &[], width, patterns, seeds, sim_opts)
-            }
-            ModuleClass::Alu => {
-                let mut kinds: Vec<lobist_dfg::OpKind> = d
-                    .data_path
-                    .module_ops(m)
-                    .iter()
-                    .map(|&op| dfg.op(op).kind)
-                    .collect();
-                kinds.sort();
-                kinds.dedup();
-                let net = lobist_gatesim::modules::alu(&kinds, width);
-                let mut controls = vec![false; kinds.len()];
-                controls[0] = true;
-                lobist_engine::bist_session_parallel(
-                    &net, &controls, width, patterns, seeds, sim_opts,
-                )
-            }
-        };
-        shared.engine.metrics_handle().record_fault_sim(&stats);
-        rows.push(format!(
-            concat!(
-                "{{\"module\":\"M{idx} ({class})\",\"faults\":{faults},",
-                "\"coverage\":{cov:.4},\"aliased\":{alias}}}"
-            ),
-            idx = m.index() + 1,
-            class = d.data_path.module_class(m),
-            faults = report.total_faults,
-            cov = report.coverage(),
-            alias = report.aliased(),
-        ));
-    }
-    Ok(JobBody {
-        ok: true,
-        cache: "none",
-        payload: format!(
-            "\"faultsim\":{{\"width\":{width},\"patterns\":{patterns},\"modules\":[{}]}}",
-            rows.join(",")
-        ),
-    })
-}
-
-fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
-    let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-    let registry = PassRegistry::default_registry();
-    let (report, _) = lobist_engine::lint_parallel(
-        &unit,
-        &registry,
-        effective_jobs(request, shared),
-        Some(shared.engine.metrics_handle()),
-    );
-    Ok(JobBody {
-        ok: true,
-        cache: "none",
-        payload: format!(
-            "\"lint\":{{\"clean\":{},\"errors\":{},\"warnings\":{},\"text\":\"{}\"}}",
-            report.is_clean(),
-            report.error_count(),
-            report.warning_count(),
-            escape(&report.render_text()),
-        ),
-    })
-}
-
-fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
-    let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-    let (report, _) = lobist_engine::analyze_parallel(
-        &unit,
-        effective_jobs(request, shared),
-        Some(shared.engine.metrics_handle()),
-    );
-    // The payload is a pure function of the report, so a store-served
-    // replay is byte-identical to the original run.
-    Ok(JobBody {
-        ok: true,
-        cache: "none",
-        payload: format!("\"analyze\":{}", report.to_json(false)),
-    })
 }

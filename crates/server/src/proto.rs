@@ -21,6 +21,7 @@
 //! (timing and cache provenance, which legitimately vary between
 //! runs). Failures end with a terminal `error` event instead.
 
+use lobist_engine::command::{self, Flow};
 use lobist_engine::LaneSelect;
 
 use crate::json::Json;
@@ -80,47 +81,32 @@ impl Command {
     }
 }
 
-/// One parsed request line.
+/// One parsed request line: the command, and for job commands the
+/// typed request the shared command layer runs.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// The command.
     pub cmd: Command,
-    /// Inline design text (the `.dfg` file contents).
-    pub design: Option<String>,
-    /// Module set, e.g. `"1+,1*"`.
-    pub modules: Option<String>,
-    /// Semicolon-separated module sets for `explore`.
-    pub candidates: Option<String>,
-    /// `"testable"` (default) or `"traditional"`.
-    pub flow: String,
-    /// Data-path bit width (default 8).
-    pub width: u32,
-    /// Insert test points for otherwise-untestable modules.
-    pub repair: bool,
-    /// Primary inputs live on ports instead of registers.
-    pub port_inputs: bool,
-    /// Per-request worker budget (clamped by server policy).
-    pub jobs: Option<usize>,
-    /// Annealing iterations.
-    pub iterations: Option<u32>,
-    /// Annealing seed.
-    pub seed: Option<u64>,
-    /// Annealing speculative batch size.
-    pub batch: Option<u32>,
-    /// Annealing chain count.
-    pub chains: Option<usize>,
-    /// Fault-simulation lane width (64, 256, 512 or `"auto"`).
-    /// Results are byte-identical at every width; this is a
-    /// performance knob only, so it never enters the job key.
-    pub lanes: LaneSelect,
+    /// The job's parameters (defaults for `ping`, `metrics` and
+    /// `shutdown`). `workers` holds the request's `jobs` field until
+    /// the server clamps it by policy.
+    pub job: command::Request,
 }
 
-/// Parses one request line.
+/// Parses and validates one request line.
+///
+/// Fields: `design` (inline `.dfg` text, required by job commands),
+/// `modules`, `candidates` (semicolon-separated module sets, required
+/// by `explore`), `flow` (`"testable"` or `"traditional"`), `width`
+/// (2..=64), `repair`, `port_inputs`, `jobs`, `iterations`, `seed`,
+/// `batch`, `chains` and `lanes` (64, 256, 512 or `"auto"`; a
+/// throughput knob only, so it never enters the job key).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, a missing or
-/// unknown command, or ill-typed fields.
+/// unknown command, ill-typed or out-of-range fields, a module set that
+/// does not parse, or a job command without its design.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|e| e.to_string())?;
     if !matches!(v, Json::Obj(_)) {
@@ -138,17 +124,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(_) => Err(format!("field `{key}` must be a string")),
         }
     };
-    let flow = str_field("flow")?.unwrap_or_else(|| "testable".to_owned());
-    if flow != "testable" && flow != "traditional" {
-        return Err(format!("unknown flow `{flow}`"));
-    }
-    let width = match v.get("width") {
-        None | Some(Json::Null) => 8,
-        Some(n) => n
-            .as_u32()
-            .filter(|w| (2..=64).contains(w))
-            .ok_or("field `width` must be an integer in 2..=64")?,
-    };
     let num = |key: &str| -> Result<Option<u64>, String> {
         match v.get(key) {
             None | Some(Json::Null) => Ok(None),
@@ -158,12 +133,37 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
         }
     };
-    let jobs = num("jobs")?.map(|n| n as usize);
-    if jobs == Some(0) {
-        return Err("field `jobs` must be at least 1".into());
+    let num32 = |key: &str| -> Result<Option<u32>, String> {
+        num(key)?
+            .map(|n| u32::try_from(n).map_err(|_| format!("field `{key}` must fit in 32 bits")))
+            .transpose()
+    };
+    let mut job = command::Request::default();
+    if let Some(name) = str_field("flow")? {
+        job.flow = Flow::parse(&name).ok_or_else(|| format!("unknown flow `{name}`"))?;
     }
+    if let Some(n) = v.get("width").filter(|n| **n != Json::Null) {
+        job.width = n
+            .as_u32()
+            .filter(|w| (2..=64).contains(w))
+            .ok_or("field `width` must be an integer in 2..=64")?;
+    }
+    job.workers = num("jobs")?.map(|n| n as usize);
+    if let Some(n) = num32("iterations")? {
+        job.anneal.iterations = n;
+    }
+    if let Some(n) = num("seed")? {
+        job.anneal.seed = n;
+    }
+    if let Some(n) = num32("batch")? {
+        job.anneal.batch = n;
+    }
+    if let Some(n) = num("chains")? {
+        job.chains = n as usize;
+    }
+    job.validate().map_err(|e| format!("field {e}"))?;
     const LANES_ERR: &str = "field `lanes` must be 64, 256, 512 or \"auto\"";
-    let lanes = match v.get("lanes") {
+    job.lanes = match v.get("lanes") {
         None | Some(Json::Null) => LaneSelect::Auto,
         Some(Json::Str(s)) => LaneSelect::parse(s).ok_or(LANES_ERR)?,
         Some(n) => n
@@ -171,22 +171,27 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .and_then(|w| LaneSelect::parse(&w.to_string()))
             .ok_or(LANES_ERR)?,
     };
-    Ok(Request {
-        cmd,
-        design: str_field("design")?,
-        modules: str_field("modules")?,
-        candidates: str_field("candidates")?,
-        flow,
-        width,
-        repair: v.get("repair").and_then(Json::as_bool).unwrap_or(false),
-        port_inputs: v.get("port_inputs").and_then(Json::as_bool).unwrap_or(false),
-        jobs,
-        iterations: num("iterations")?.map(|n| n as u32),
-        seed: num("seed")?,
-        batch: num("batch")?.map(|n| n as u32),
-        chains: num("chains")?.map(|n| n as usize),
-        lanes,
-    })
+    job.repair = v.get("repair").and_then(Json::as_bool).unwrap_or(false);
+    job.port_inputs = v
+        .get("port_inputs")
+        .and_then(Json::as_bool)
+        .unwrap_or(false);
+    if let Some(text) = str_field("modules")? {
+        job.modules = Some(text.parse().map_err(|e| format!("modules: {e}"))?);
+    }
+    let candidates = str_field("candidates")?;
+    let design = str_field("design")?;
+    if cmd.is_job() {
+        job.design = design.ok_or("missing field `design`")?;
+    }
+    if cmd == Command::Explore {
+        job.candidates = candidates
+            .ok_or("missing field `candidates`")?
+            .split(';')
+            .map(|s| s.trim().parse().map_err(|e| format!("candidates: {e}")))
+            .collect::<Result<_, _>>()?;
+    }
+    Ok(Request { cmd, job })
 }
 
 /// `true` if a response line is a terminal event — the last line the
@@ -209,12 +214,15 @@ mod tests {
         .expect("valid");
         assert_eq!(r.cmd, Command::Synth);
         assert!(r.cmd.is_job());
-        assert_eq!(r.design.as_deref(), Some("input a\n"));
-        assert_eq!(r.modules.as_deref(), Some("1+"));
-        assert_eq!(r.flow, "traditional");
-        assert_eq!(r.width, 16);
-        assert_eq!(r.jobs, Some(2));
-        assert!(r.repair);
+        assert_eq!(r.job.design, "input a\n");
+        assert_eq!(
+            r.job.modules.as_ref().map(ToString::to_string).as_deref(),
+            Some("1+")
+        );
+        assert_eq!(r.job.flow, Flow::Traditional);
+        assert_eq!(r.job.width, 16);
+        assert_eq!(r.job.workers, Some(2));
+        assert!(r.job.repair);
     }
 
     #[test]
@@ -222,9 +230,21 @@ mod tests {
         let r = parse_request(r#"{"cmd":"ping"}"#).expect("valid");
         assert_eq!(r.cmd, Command::Ping);
         assert!(!r.cmd.is_job());
-        assert_eq!(r.flow, "testable");
-        assert_eq!(r.width, 8);
-        assert_eq!(r.jobs, None);
+        assert_eq!(r.job.flow, Flow::Testable);
+        assert_eq!(r.job.width, 8);
+        assert_eq!(r.job.workers, None);
+        let anneal = parse_request(r#"{"cmd":"anneal","design":"","modules":"1+"}"#)
+            .expect("valid")
+            .job;
+        assert_eq!(
+            (
+                anneal.anneal.iterations,
+                anneal.anneal.seed,
+                anneal.anneal.batch,
+                anneal.chains
+            ),
+            (400, 0xA11EA1, 16, 1)
+        );
     }
 
     #[test]
@@ -237,11 +257,39 @@ mod tests {
             (r#"{"cmd":"synth","flow":"magic"}"#, "unknown flow"),
             (r#"{"cmd":"synth","width":1}"#, "`width`"),
             (r#"{"cmd":"synth","jobs":0}"#, "`jobs`"),
-            (r#"{"cmd":"synth","modules":7}"#, "`modules` must be a string"),
+            (
+                r#"{"cmd":"synth","modules":7}"#,
+                "`modules` must be a string",
+            ),
             (r#"{"cmd":"faultsim","lanes":128}"#, "`lanes`"),
             (r#"{"cmd":"faultsim","lanes":"wide"}"#, "`lanes`"),
             (r#"{"cmd":"faultsim","lanes":1024}"#, "`lanes`"),
             (r#"{"cmd":"faultsim","lanes":true}"#, "`lanes`"),
+            (
+                r#"{"cmd":"anneal","batch":0}"#,
+                "field `batch` must be at least 1",
+            ),
+            (
+                r#"{"cmd":"anneal","chains":0}"#,
+                "field `chains` must be at least 1",
+            ),
+            (
+                r#"{"cmd":"anneal","batch":4294967296}"#,
+                "`batch` must fit in 32 bits",
+            ),
+            (r#"{"cmd":"synth","modules":"9?"}"#, "modules:"),
+            (
+                r#"{"cmd":"synth","modules":"1+"}"#,
+                "missing field `design`",
+            ),
+            (
+                r#"{"cmd":"explore","design":"x"}"#,
+                "missing field `candidates`",
+            ),
+            (
+                r#"{"cmd":"explore","design":"x","candidates":"1+;?"}"#,
+                "candidates:",
+            ),
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
@@ -250,9 +298,11 @@ mod tests {
 
     #[test]
     fn parses_an_analyze_request() {
-        let r = parse_request(r#"{"cmd":"analyze","design":"input a
-","modules":"1+"}"#)
-            .expect("parses");
+        let r = parse_request(
+            r#"{"cmd":"analyze","design":"input a
+","modules":"1+"}"#,
+        )
+        .expect("parses");
         assert_eq!(r.cmd, Command::Analyze);
         assert!(r.cmd.is_job());
     }
@@ -260,14 +310,29 @@ mod tests {
     #[test]
     fn lanes_accept_numbers_and_auto() {
         for (line, want) in [
-            (r#"{"cmd":"faultsim"}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":null}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":"auto"}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":64}"#, LaneSelect::W64),
-            (r#"{"cmd":"faultsim","lanes":"256"}"#, LaneSelect::W256),
-            (r#"{"cmd":"faultsim","lanes":512}"#, LaneSelect::W512),
+            (r#"{"cmd":"faultsim","design":""}"#, LaneSelect::Auto),
+            (
+                r#"{"cmd":"faultsim","design":"","lanes":null}"#,
+                LaneSelect::Auto,
+            ),
+            (
+                r#"{"cmd":"faultsim","design":"","lanes":"auto"}"#,
+                LaneSelect::Auto,
+            ),
+            (
+                r#"{"cmd":"faultsim","design":"","lanes":64}"#,
+                LaneSelect::W64,
+            ),
+            (
+                r#"{"cmd":"faultsim","design":"","lanes":"256"}"#,
+                LaneSelect::W256,
+            ),
+            (
+                r#"{"cmd":"faultsim","design":"","lanes":512}"#,
+                LaneSelect::W512,
+            ),
         ] {
-            assert_eq!(parse_request(line).expect(line).lanes, want, "{line}");
+            assert_eq!(parse_request(line).expect(line).job.lanes, want, "{line}");
         }
     }
 

@@ -15,17 +15,19 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use lobist_engine::metrics::bucket_micros;
+use lobist_engine::pool::panic_message;
 use lobist_engine::{Engine, ServerSnapshot, NUM_BUCKETS};
 use lobist_store::{DiskStore, DiskStoreConfig, ResultStore};
 
 use crate::exec;
-use crate::proto::{parse_request, Command};
+use crate::proto::{parse_request, Command, Request};
 
 /// How long a handler blocks on a read before re-checking the shutdown
 /// flag. Keeps drain latency bounded without busy-waiting.
@@ -55,17 +57,6 @@ pub struct ServerConfig {
     pub store: Option<PathBuf>,
     /// Store size budget (compaction threshold), in bytes.
     pub store_max_bytes: u64,
-    /// Canonical (isomorphism-level) job keys: when `true` (the
-    /// default), a renamed/reordered twin of a cached design is
-    /// answered from cache as an `"iso"` hit. Results are byte-identical
-    /// either way; `false` restores exact-text keying.
-    pub canon: bool,
-    /// Subgraph-level fragment tier: when `true` (the default), the
-    /// shift-invariant synthesis core is memoized by rebased canonical
-    /// encoding and canonical DFG fragments are tracked across designs
-    /// (with durable fragment records when a store is attached).
-    /// Results are byte-identical either way.
-    pub subcanon: bool,
 }
 
 impl Default for ServerConfig {
@@ -80,8 +71,6 @@ impl Default for ServerConfig {
             max_design_bytes: 1 << 20,
             store: None,
             store_max_bytes: DiskStoreConfig::default().max_bytes,
-            canon: true,
-            subcanon: true,
         }
     }
 }
@@ -170,9 +159,10 @@ impl Shared {
         }
     }
 
-    /// Blocks until an execution slot frees up. Returns the queue depth
-    /// observed at enqueue time, or `Err` with a rejection reason.
-    fn admit(&self) -> Result<u64, String> {
+    /// Blocks until an execution slot frees up. Returns the slot's
+    /// permit and the queue depth observed at enqueue time, or `Err`
+    /// with a rejection reason.
+    fn admit(&self) -> Result<(Permit<'_>, u64), String> {
         let mut st = self.gate.state.lock().expect("gate lock");
         if self.shutting_down() {
             return Err("server is shutting down".into());
@@ -201,11 +191,18 @@ impl Shared {
         }
         st.active += 1;
         self.stats.active.store(st.active as u64, Ordering::Relaxed);
-        Ok(depth)
+        Ok((Permit(self), depth))
     }
 
+    /// Frees a slot. Runs in `Permit::drop`, possibly while unwinding,
+    /// so a poisoned lock is recovered rather than panicking: the
+    /// counters are valid after every update.
     fn release(&self) {
-        let mut st = self.gate.state.lock().expect("gate lock");
+        let mut st = self
+            .gate
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         st.active -= 1;
         self.stats.active.store(st.active as u64, Ordering::Relaxed);
         drop(st);
@@ -218,6 +215,16 @@ impl Shared {
         let mut snap = self.engine.metrics();
         snap.server = Some(self.stats.snapshot());
         snap.to_json()
+    }
+}
+
+/// An admitted request's execution slot, released when dropped — also
+/// when the handler unwinds, so a panic cannot leak the slot.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -278,9 +285,7 @@ impl Server {
             }
             None => None,
         };
-        let mut engine = Engine::new(config.workers.max(1))
-            .with_canon(config.canon)
-            .with_subcanon(config.subcanon);
+        let mut engine = Engine::new(config.workers.max(1));
         if let Some(path) = &config.store {
             let store: Arc<dyn ResultStore> = Arc::new(DiskStore::open(
                 path,
@@ -521,7 +526,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 /// should close (after a shutdown request).
 fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::Result<bool> {
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let request = match parse_request(line) {
+    let mut request = match parse_request(line) {
         Ok(r) => r,
         Err(message) => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -559,6 +564,11 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
             Ok(false)
         }
         _ => {
+            // The per-request worker budget: the request's `jobs`
+            // clamped by policy, defaulting to the engine's own.
+            let config = &shared.config;
+            let jobs = request.job.workers.unwrap_or(config.workers);
+            request.job.workers = Some(jobs.min(config.max_request_jobs).max(1));
             serve_job(&request, id, out, shared)?;
             Ok(true)
         }
@@ -566,27 +576,26 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
 }
 
 fn serve_job(
-    request: &crate::proto::Request,
+    request: &Request,
     id: u64,
     out: &mut Conn,
     shared: &Arc<Shared>,
 ) -> std::io::Result<()> {
-    if let Some(design) = &request.design {
-        if design.len() > shared.config.max_design_bytes {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return emit(
-                out,
-                &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"design too large \
-                     ({} bytes, limit {})\"}}",
-                    design.len(),
-                    shared.config.max_design_bytes
-                ),
-            );
-        }
+    let design = &request.job.design;
+    if design.len() > shared.config.max_design_bytes {
+        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        return emit(
+            out,
+            &format!(
+                "{{\"event\":\"error\",\"id\":{id},\"message\":\"design too large \
+                 ({} bytes, limit {})\"}}",
+                design.len(),
+                shared.config.max_design_bytes
+            ),
+        );
     }
-    let depth = match shared.admit() {
-        Ok(depth) => depth,
+    let (permit, depth) = match shared.admit() {
+        Ok(admitted) => admitted,
         Err(reason) => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return emit(
@@ -600,9 +609,14 @@ fn serve_job(
         &format!("{{\"event\":\"accepted\",\"id\":{id},\"queue_depth\":{depth}}}"),
     )?;
     let start = Instant::now();
-    let outcome = exec::execute(request, shared);
+    // A panicking handler becomes a terminal `error` event; the permit
+    // is released either way.
+    let outcome = match catch_unwind(AssertUnwindSafe(|| exec::execute(request, &shared.engine))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(panic) => Err(format!("job panicked: {}", panic_message(panic))),
+    };
     let wall = start.elapsed();
-    shared.release();
+    drop(permit);
     shared.stats.record_wall(wall);
     match outcome {
         Ok(body) => {
@@ -634,4 +648,26 @@ fn serve_job(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_while_holding_a_permit_releases_the_slot() {
+        let config = ServerConfig {
+            max_active: 1,
+            ..ServerConfig::default()
+        };
+        let shared = Server::bind(config).expect("bind").shared;
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = shared.admit().expect("a free slot");
+            assert_eq!(shared.gate.state.lock().expect("gate").active, 1);
+            panic!("handler bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(shared.gate.state.lock().expect("gate").active, 0);
+        assert_eq!(shared.stats.snapshot().active, 0);
+    }
 }
