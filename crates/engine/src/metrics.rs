@@ -970,6 +970,216 @@ mod tests {
         );
     }
 
+    /// Every section present, every value from a fixed input (no clock
+    /// readings): pins the bytes `to_json` renders. Regenerate after an
+    /// intentional format change with
+    /// `UPDATE_GOLDENS=1 cargo test -p lobist-engine full_snapshot`.
+    #[test]
+    fn full_snapshot_matches_the_golden() {
+        use lobist_alloc::baseline_regalloc::{allocate_registers, BaselineAlgorithm};
+        use lobist_alloc::flow::{synthesize_benchmark, FlowOptions};
+        use lobist_dfg::benchmarks;
+        use lobist_gatesim::diffsim::SimCounters;
+        use lobist_lint::{Code, Diagnostic, LintUnit, Report, Span};
+
+        let us = Duration::from_micros;
+        let m = Metrics::new();
+        m.add_submitted(7);
+        m.job_done(false);
+        m.job_done(false);
+        m.job_done(true);
+        m.job_done_from_store();
+        m.job_panicked();
+        m.coalesced();
+        m.record_stages(&StageTimings {
+            module_assign: us(3),
+            register_alloc: us(900),
+            interconnect: us(40),
+            data_path: us(17),
+            bist: us(2500),
+        });
+        m.record_stages(&StageTimings {
+            register_alloc: us(1100),
+            ..Default::default()
+        });
+        m.record_pool(&PoolStats {
+            workers: 2,
+            wall: Duration::from_millis(10),
+            busy: vec![Duration::from_millis(10), Duration::from_millis(5)],
+        });
+        for (lanes, batches) in [(64, 8), (512, 2)] {
+            m.record_fault_sim(&FaultSimStats {
+                counters: SimCounters {
+                    batches_loaded: batches,
+                    faults_simulated: 100,
+                    cone_evals: 700,
+                    events_propagated: 300,
+                },
+                total_faults: 120,
+                simulated_faults: 100,
+                collapsed_away: 20,
+                workers: 2,
+                lanes,
+                wall: us(1500),
+            });
+        }
+
+        let bench = benchmarks::ex1();
+        let registers = allocate_registers(
+            &bench.dfg,
+            &bench.schedule,
+            bench.lifetime_options,
+            BaselineAlgorithm::LeftEdge,
+        )
+        .expect("left-edge colors ex1");
+        let mut flow_cache = FlowCacheStats {
+            interconnect: StageStats {
+                hits: 9,
+                misses: 3,
+                evictions: 1,
+            },
+            embeddings: StageStats {
+                hits: 5,
+                misses: 5,
+                evictions: 0,
+            },
+            selection: StageStats {
+                hits: 0,
+                misses: 4,
+                evictions: 2,
+            },
+            warm_starts: 3,
+            ..Default::default()
+        };
+        flow_cache.delta_micros[bucket_micros(70)] = 11;
+        flow_cache.full_micros[bucket_micros(3000)] = 2;
+        m.record_anneal(
+            &AnnealResult {
+                registers,
+                overhead: 90,
+                initial_overhead: 120,
+                accepted: 12,
+                evaluated: 40,
+                skipped: 6,
+                stalled: 1,
+                infeasible: 2,
+                wasted: 5,
+                oracle_hits: 30,
+                oracle_misses: 15,
+                flow_cache,
+            },
+            &AnnealStats {
+                wall: us(42_000),
+                workers: 2,
+                chains: 3,
+                chain_overheads: vec![90, 95, 100],
+                best_chain: 0,
+            },
+        );
+
+        m.record_canonization(us(5), false);
+        m.record_canonization(us(300), true);
+        m.canon_hit(true);
+        m.canon_hit(false);
+        m.canon_remap();
+        m.canon_remap();
+
+        m.record_lint(
+            &Report::new(vec![
+                Diagnostic::new(Code::A101RegisterConflict, Span::Design, "x"),
+                Diagnostic::new(Code::L007DeadRegister, Span::Design, "y"),
+            ]),
+            &LintRunStats {
+                passes: vec![("structure", us(12)), ("binding", us(130))],
+                wall: us(150),
+                workers: 1,
+            },
+        );
+        let opts = FlowOptions::testable();
+        let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
+        let unit = LintUnit::of_design(
+            &bench.dfg,
+            &bench.schedule,
+            &design,
+            bench.lifetime_options,
+            &opts.area,
+        );
+        let (report, _) = crate::analyze::analyze_parallel(&unit, 1, None);
+        m.record_analysis(
+            &report,
+            &crate::analyze::AnalyzeRunStats {
+                cones: vec![("m0".into(), us(33)), ("m1".into(), us(650))],
+                wall: us(800),
+                workers: 1,
+            },
+        );
+
+        let mut snap = m.snapshot();
+        snap.result_cache = Some(StoreStats {
+            hits: 1,
+            misses: 4,
+            insertions: 4,
+            evictions: 1,
+            entries: 3,
+            payload_bytes: 900,
+            ..Default::default()
+        });
+        snap.cache_capacity = 64;
+        snap.store = Some(StoreStats {
+            hits: 1,
+            misses: 3,
+            insertions: 3,
+            evictions: 0,
+            entries: 3,
+            payload_bytes: 700,
+            bytes_read: 250,
+            bytes_written: 710,
+            compactions: 1,
+            recovered_drops: 2,
+            write_errors: 0,
+            version_skips: 1,
+        });
+        let mut request_micros_log2 = [0; NUM_BUCKETS];
+        request_micros_log2[bucket_micros(400)] = 3;
+        request_micros_log2[bucket_micros(9000)] = 1;
+        snap.server = Some(ServerSnapshot {
+            requests: 6,
+            completed: 4,
+            failed: 1,
+            rejected: 2,
+            active: 1,
+            queue_depth: 0,
+            peak_queue_depth: 3,
+            wall: us(10_200),
+            request_micros_log2,
+        });
+        let mut extract_micros_log2 = [0; NUM_BUCKETS];
+        extract_micros_log2[bucket_micros(80)] = 2;
+        snap.subcanon = Some(SubcanonStats {
+            fragments: 14,
+            intra_hits: 2,
+            cross_hits: 5,
+            bailouts: 1,
+            core_hits: 1,
+            core_misses: 2,
+            registry_entries: 9,
+            extract_micros_log2,
+        });
+
+        let rendered = format!("{}\n", snap.to_json());
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/goldens/metrics/full.json"
+        );
+        if std::env::var_os("UPDATE_GOLDENS").is_some() {
+            std::fs::write(path, &rendered).expect("write golden");
+            return;
+        }
+        let golden = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("{path}: {e} (run with UPDATE_GOLDENS=1 to create it)"));
+        assert_eq!(rendered, golden, "metrics JSON drifted from {path}");
+    }
+
     #[test]
     fn utilization_is_busy_over_capacity() {
         let m = Metrics::new();
