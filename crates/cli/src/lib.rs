@@ -663,7 +663,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 sim.patterns, sim.width
             );
             if o.metrics {
-                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics().to_json());
             }
         }
         "explore" => {
@@ -998,7 +998,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 stats.moves_per_sec(&result)
             );
             if o.metrics {
-                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics().to_json());
             }
         }
         "lint" => {
@@ -1035,7 +1035,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 );
             }
             if o.metrics {
-                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics().to_json());
             }
             let denied = policy.denied_count(report);
             if denied > 0 {
@@ -1054,7 +1054,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 out.push_str(&report.render_text());
             }
             if o.metrics {
-                let _ = writeln!(out, "{}", engine.metrics_handle().snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics().to_json());
             }
         }
         "serve" => {

@@ -239,10 +239,7 @@ pub fn evaluate_canonical_timed_with_tier(
     flow: &FlowOptions,
     tier: Option<&FragmentTier>,
 ) -> (Result<DesignPoint, (String, String)>, StageTimings, bool) {
-    let memo = tier.and_then(|t| {
-        subcanon::rebase_encoding(&canon.encoding)
-            .map(|rebased| (t, FragmentTier::core_key(&rebased, modules, flow)))
-    });
+    let memo = tier.and_then(|t| Some((t, core_memo_key(canon, modules, flow)?)));
     if let Some((t, key)) = memo {
         if let Some(core) = t.lookup_core(key) {
             return (
@@ -273,6 +270,15 @@ pub fn evaluate_canonical_timed_with_tier(
         );
     }
     (result, timings, false)
+}
+
+/// The [`FragmentTier`] synthesis-core key of a canonical form: its
+/// rebased encoding with the module set and flow options. Two forms
+/// with equal keys share one synthesis core. `None` when the encoding
+/// does not rebase (never for encodings the canonizer produced).
+pub fn core_memo_key(canon: &CanonForm, modules: &ModuleSet, flow: &FlowOptions) -> Option<u128> {
+    subcanon::rebase_encoding(&canon.encoding)
+        .map(|rebased| FragmentTier::core_key(&rebased, modules, flow))
 }
 
 fn evaluate_canonical_uncached(

@@ -37,8 +37,7 @@
 //! the hit counters.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lobist_bist::embedding::PatternSource;
@@ -74,15 +73,23 @@ pub(crate) fn fnv_sep(h: u128) -> u128 {
     (h ^ u128::from(SEP)).wrapping_mul(FNV_PRIME)
 }
 
-/// Histogram buckets for the delta/full timing profiles: bucket `i`
-/// counts evaluations taking `[2^i, 2^(i+1))` microseconds, the last
-/// bucket absorbing everything slower (matches the engine's stage
-/// histograms).
+/// Buckets of every log2-microsecond histogram in the workspace: bucket
+/// `i` counts durations in `[2^i, 2^(i+1))` microseconds, the last
+/// bucket absorbing everything slower (~8.4 s and beyond).
 pub const NUM_BUCKETS: usize = 24;
 
-fn bucket(micros: u128) -> usize {
+/// The histogram bucket for a duration of `micros` microseconds (log2
+/// bucketing, saturating at [`NUM_BUCKETS`]` - 1`) — the one definition
+/// every histogram shares, from the flow-cache timings here to the
+/// engine's stage histograms and the daemon's request wall times.
+pub fn bucket_micros(micros: u128) -> usize {
     let floor_log2 = (127 - micros.max(1).leading_zeros()) as usize;
     floor_log2.min(NUM_BUCKETS - 1)
+}
+
+/// Counts one duration into a log2-microsecond histogram.
+pub fn tally(hist: &mut [u64; NUM_BUCKETS], took: Duration) {
+    hist[bucket_micros(took.as_micros())] += 1;
 }
 
 /// Capacity knobs for the per-stage caches. Purely a performance /
@@ -235,9 +242,9 @@ pub struct FlowCache<'a> {
     /// Last selected choice — the warm-start incumbent for the next
     /// selection miss.
     warm: Mutex<Option<Vec<Embedding>>>,
-    warm_starts: AtomicU64,
-    /// `[0]` = incremental (delta) evaluations, `[1]` = reference (full).
-    timings: Mutex<[[u64; NUM_BUCKETS]; 2]>,
+    /// Warm starts and the delta/full timing histograms; the stage
+    /// counters are read from the stage caches at snapshot time.
+    ledger: Mutex<FlowCacheStats>,
 }
 
 impl<'a> FlowCache<'a> {
@@ -289,8 +296,7 @@ impl<'a> FlowCache<'a> {
             embeddings: Mutex::new(StageCache::new(config.embedding_capacity)),
             selection: Mutex::new(StageCache::new(config.selection_capacity)),
             warm: Mutex::new(None),
-            warm_starts: AtomicU64::new(0),
-            timings: Mutex::new([[0; NUM_BUCKETS]; 2]),
+            ledger: Mutex::default(),
         }
     }
 
@@ -305,7 +311,7 @@ impl<'a> FlowCache<'a> {
     pub fn evaluate(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let start = Instant::now();
         let r = self.evaluate_inner(classes);
-        self.record(0, start.elapsed());
+        tally(&mut self.ledger().delta_micros, start.elapsed());
         r
     }
 
@@ -319,26 +325,22 @@ impl<'a> FlowCache<'a> {
     pub fn evaluate_uncached(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let start = Instant::now();
         let r = self.evaluate_reference(classes);
-        self.record(1, start.elapsed());
+        tally(&mut self.ledger().full_micros, start.elapsed());
         r
     }
 
     /// Counters so far.
     pub fn stats(&self) -> FlowCacheStats {
-        let timings = self.timings.lock().expect("timing lock");
         FlowCacheStats {
             interconnect: self.interconnect.lock().expect("stage lock").stats,
             embeddings: self.embeddings.lock().expect("stage lock").stats,
             selection: self.selection.lock().expect("stage lock").stats,
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            delta_micros: timings[0],
-            full_micros: timings[1],
+            ..self.ledger().clone()
         }
     }
 
-    fn record(&self, which: usize, elapsed: Duration) {
-        let mut timings = self.timings.lock().expect("timing lock");
-        timings[which][bucket(elapsed.as_micros())] += 1;
+    fn ledger(&self) -> MutexGuard<'_, FlowCacheStats> {
+        self.ledger.lock().expect("ledger lock")
     }
 
     fn evaluate_reference(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
@@ -524,7 +526,7 @@ impl<'a> FlowCache<'a> {
                     })
                 };
                 if warm_upper.is_some() {
-                    self.warm_starts.fetch_add(1, Ordering::Relaxed);
+                    self.ledger().warm_starts += 1;
                 }
                 let choice = select_embeddings(nr, model, &self.flow.solver, &embs, warm_upper);
                 let overhead = choice_cost(nr, model, &choice).get();
@@ -747,7 +749,7 @@ pub struct SynthCore {
 
 /// Counter snapshot of a [`FragmentTier`], rendered by the engine as
 /// the `"subcanon"` metrics section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubcanonStats {
     /// Fragment occurrences observed (post window dedup).
     pub fragments: u64,
@@ -765,21 +767,6 @@ pub struct SubcanonStats {
     pub registry_entries: u64,
     /// Extraction wall time, log2-µs histogram per design.
     pub extract_micros_log2: [u64; NUM_BUCKETS],
-}
-
-impl Default for SubcanonStats {
-    fn default() -> Self {
-        SubcanonStats {
-            fragments: 0,
-            intra_hits: 0,
-            cross_hits: 0,
-            bailouts: 0,
-            core_hits: 0,
-            core_misses: 0,
-            registry_entries: 0,
-            extract_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
 }
 
 /// The fragment tier: subgraph-level canonical memoization shared by
@@ -801,13 +788,10 @@ impl Default for SubcanonStats {
 pub struct FragmentTier {
     core: Mutex<StageCache<SynthCore>>,
     registry: Mutex<StageCache<u64>>,
-    fragments: AtomicU64,
-    intra_hits: AtomicU64,
-    cross_hits: AtomicU64,
-    bailouts: AtomicU64,
-    core_hits: AtomicU64,
-    core_misses: AtomicU64,
-    extract_hist: [AtomicU64; NUM_BUCKETS],
+    /// Fragment counters and the extraction histogram; the core-memo
+    /// hits/misses and the registry size are read from the two caches
+    /// at snapshot time.
+    ledger: Mutex<SubcanonStats>,
 }
 
 /// FNV-1a-128 sink for formatted text, used to key on `Display`/`Debug`
@@ -841,13 +825,7 @@ impl FragmentTier {
         FragmentTier {
             core: Mutex::new(StageCache::new(CORE_MEMO_CAPACITY)),
             registry: Mutex::new(StageCache::new(FRAGMENT_REGISTRY_CAPACITY)),
-            fragments: AtomicU64::new(0),
-            intra_hits: AtomicU64::new(0),
-            cross_hits: AtomicU64::new(0),
-            bailouts: AtomicU64::new(0),
-            core_hits: AtomicU64::new(0),
-            core_misses: AtomicU64::new(0),
-            extract_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+            ledger: Mutex::default(),
         }
     }
 
@@ -877,17 +855,7 @@ impl FragmentTier {
 
     /// Looks up a synthesis core, counting the hit or miss.
     pub fn lookup_core(&self, key: u128) -> Option<SynthCore> {
-        let found = self.core.lock().unwrap().lookup(key);
-        match found {
-            Some(core) => {
-                self.core_hits.fetch_add(1, Ordering::Relaxed);
-                Some(core)
-            }
-            None => {
-                self.core_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.core.lock().expect("core memo lock").lookup(key)
     }
 
     /// Memoizes a freshly synthesized core (first writer wins).
@@ -908,35 +876,30 @@ impl FragmentTier {
     /// Counts one re-observed fragment: `cross` when the prior origin
     /// differs from the observing design's.
     pub fn record_fragment_hit(&self, cross: bool) {
+        let mut ledger = self.ledger.lock().expect("ledger lock");
         if cross {
-            self.cross_hits.fetch_add(1, Ordering::Relaxed);
+            ledger.cross_hits += 1;
         } else {
-            self.intra_hits.fetch_add(1, Ordering::Relaxed);
+            ledger.intra_hits += 1;
         }
     }
 
     /// Records one extraction pass over a design.
     pub fn record_extract(&self, fragments: u64, bailouts: u64, took: Duration) {
-        self.fragments.fetch_add(fragments, Ordering::Relaxed);
-        self.bailouts.fetch_add(bailouts, Ordering::Relaxed);
-        self.extract_hist[bucket(took.as_micros())].fetch_add(1, Ordering::Relaxed);
+        let mut ledger = self.ledger.lock().expect("ledger lock");
+        ledger.fragments += fragments;
+        ledger.bailouts += bailouts;
+        tally(&mut ledger.extract_micros_log2, took);
     }
 
     /// A counter snapshot for the `"subcanon"` metrics section.
     pub fn stats(&self) -> SubcanonStats {
-        let mut extract_micros_log2 = [0u64; NUM_BUCKETS];
-        for (slot, counter) in extract_micros_log2.iter_mut().zip(&self.extract_hist) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
+        let core = self.core.lock().expect("core memo lock").stats;
         SubcanonStats {
-            fragments: self.fragments.load(Ordering::Relaxed),
-            intra_hits: self.intra_hits.load(Ordering::Relaxed),
-            cross_hits: self.cross_hits.load(Ordering::Relaxed),
-            bailouts: self.bailouts.load(Ordering::Relaxed),
-            core_hits: self.core_hits.load(Ordering::Relaxed),
-            core_misses: self.core_misses.load(Ordering::Relaxed),
+            core_hits: core.hits,
+            core_misses: core.misses,
             registry_entries: self.registry.lock().unwrap().map.len() as u64,
-            extract_micros_log2,
+            ..*self.ledger.lock().expect("ledger lock")
         }
     }
 }
@@ -1241,10 +1204,11 @@ mod tests {
 
     #[test]
     fn timing_buckets_are_log2_micros() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(1024), 10);
-        assert_eq!(bucket(u128::MAX), NUM_BUCKETS - 1);
+        assert_eq!(bucket_micros(0), 0);
+        assert_eq!(bucket_micros(1), 0);
+        assert_eq!(bucket_micros(2), 1);
+        assert_eq!(bucket_micros(3), 1);
+        assert_eq!(bucket_micros(1024), 10);
+        assert_eq!(bucket_micros(u128::MAX), NUM_BUCKETS - 1);
     }
 }

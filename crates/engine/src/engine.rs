@@ -6,7 +6,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use lobist_alloc::explore::{
-    evaluate_candidate_timed_with_tier, evaluate_canonical_timed_with_tier, remap_point, Candidate,
+    core_memo_key, evaluate_candidate_timed_with_tier, evaluate_canonical_timed_with_tier,
+    remap_point, Candidate,
 };
 use lobist_alloc::flow::{FlowOptions, StageTimings};
 use lobist_alloc::flowcache::FragmentTier;
@@ -103,7 +104,7 @@ pub struct Engine {
 }
 
 /// One in-flight evaluation other workers can block on (single-flight
-/// dedup of identical concurrent jobs).
+/// dedup of concurrent jobs that share a synthesis core).
 struct Inflight {
     done: Mutex<bool>,
     cv: Condvar,
@@ -238,7 +239,8 @@ impl Engine {
     }
 
     /// Point-in-time metrics (accumulated over every batch so far),
-    /// with the live cache and store gauges attached.
+    /// with the live cache, store and fragment-tier views attached —
+    /// the one way every front-end takes a snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.result_cache = Some(self.cache.stats());
@@ -400,8 +402,9 @@ impl Engine {
             }
         };
         // Single-flight loop: check both cache tiers, then either become
-        // the leader for this key (and fall through to evaluate) or wait
-        // for the in-flight leader and re-check the caches.
+        // the leader for this job's flight key (and fall through to
+        // evaluate) or wait for the in-flight leader and re-check the
+        // caches.
         let _guard = loop {
             if let Some(stored) = self.cache.get(key) {
                 let (result, iso_hit) = unpack(stored);
@@ -452,18 +455,29 @@ impl Engine {
                     };
                 }
             }
-            // Miss in both tiers: either claim leadership of this key or
-            // coalesce onto the worker already evaluating it.
+            // Miss in both tiers: either claim leadership of the flight
+            // key or coalesce onto the worker already evaluating it. With
+            // the fragment tier on, the flight key is the synthesis-core
+            // key, so a job waits on any in-flight job whose core it can
+            // reuse: a shifted sibling never races its base past the memo,
+            // which makes `core_hits` a function of the job list. Equal
+            // job keys imply equal core keys, so this subsumes
+            // whole-design dedup. Without the tier it is the job key.
+            let flight_key = match (&canon, &self.subcanon) {
+                (Some(c), Some(_)) => core_memo_key(c, &job.candidate.modules, &job.flow),
+                _ => None,
+            }
+            .unwrap_or(key);
             let claimed = {
                 let mut map = lock_ok(&self.inflight);
-                match map.get(&key) {
+                match map.get(&flight_key) {
                     Some(slot) => Err(Arc::clone(slot)),
                     None => {
                         let slot = Arc::new(Inflight {
                             done: Mutex::new(false),
                             cv: Condvar::new(),
                         });
-                        map.insert(key, Arc::clone(&slot));
+                        map.insert(flight_key, Arc::clone(&slot));
                         Ok(slot)
                     }
                 }
@@ -472,17 +486,18 @@ impl Engine {
                 Ok(slot) => {
                     break InflightGuard {
                         engine: self,
-                        key,
+                        key: flight_key,
                         slot,
                     }
                 }
                 Err(slot) => {
-                    // Identical job already running: block on its
-                    // completion, then loop back to the caches. If the
-                    // leader panicked (or its entry was evicted before we
-                    // woke), the re-check misses and we claim leadership
-                    // ourselves — never a wrong result, at worst a second
-                    // evaluation of a pure function.
+                    // A job with the same synthesis core is already
+                    // running: block on its completion, then loop back to
+                    // the caches (and, on a miss, to the core memo it
+                    // filled). If the leader panicked (or its entry was
+                    // evicted before we woke), the re-check misses and we
+                    // claim leadership ourselves — never a wrong result, at
+                    // worst a second evaluation of a pure function.
                     self.metrics.coalesced();
                     let mut done = lock_ok(&slot.done);
                     while !*done {

@@ -10,13 +10,12 @@
 //! [`Engine`]: crate::Engine
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use lobist_alloc::anneal::AnnealResult;
 use lobist_alloc::flow::StageTimings;
-use lobist_alloc::flowcache::{FlowCacheStats, StageStats, SubcanonStats};
+use lobist_alloc::flowcache::{tally, FlowCacheStats, StageStats, SubcanonStats};
 use lobist_store::StoreStats;
 
 use crate::anneal::AnnealStats;
@@ -24,10 +23,9 @@ use crate::faultsim::FaultSimStats;
 use crate::lint::LintRunStats;
 use crate::pool::PoolStats;
 
-/// Histogram buckets per stage: bucket `i` counts jobs whose stage took
-/// `[2^i, 2^(i+1))` microseconds; the last bucket absorbs everything
-/// slower (~8.4 s and beyond).
-pub const NUM_BUCKETS: usize = 24;
+/// The log2-microsecond bucketing every histogram here uses (defined
+/// once, in the allocator crate, which records histograms of its own).
+pub use lobist_alloc::flowcache::{bucket_micros, NUM_BUCKETS};
 
 /// The flow stages a histogram is kept for, in pipeline order (matching
 /// [`StageTimings::stages`]).
@@ -39,80 +37,12 @@ pub const STAGE_NAMES: [&str; 5] = [
     "bist",
 ];
 
-/// The histogram bucket for a duration of `micros` microseconds
-/// (log2 bucketing, saturating at [`NUM_BUCKETS`]` - 1`). Public so the
-/// server can bucket request wall times into the same shape.
-pub fn bucket_micros(micros: u128) -> usize {
-    let floor_log2 = (127 - micros.max(1).leading_zeros()) as usize;
-    floor_log2.min(NUM_BUCKETS - 1)
-}
-
-fn bucket(micros: u128) -> usize {
-    bucket_micros(micros)
-}
-
-/// Live counters owned by an engine.
+/// Live counters owned by an engine: the snapshot itself, behind one
+/// lock. Each `record_*` mutates its fields in place and a snapshot is
+/// a clone, so every counter is declared once, as a
+/// [`MetricsSnapshot`] field.
 #[derive(Debug, Default)]
-pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    store_hits: AtomicU64,
-    coalesced: AtomicU64,
-    panics: AtomicU64,
-    busy_nanos: AtomicU64,
-    // Pool capacity = wall × workers, the denominator of utilization.
-    capacity_nanos: AtomicU64,
-    histograms: Mutex<[[u64; NUM_BUCKETS]; STAGE_NAMES.len()]>,
-    // Fault-simulation work (crate::faultsim runs).
-    fs_batches_loaded: AtomicU64,
-    fs_faults_simulated: AtomicU64,
-    fs_cone_evals: AtomicU64,
-    fs_events_propagated: AtomicU64,
-    fs_collapsed_away: AtomicU64,
-    fs_wall_nanos: AtomicU64,
-    // Per-lane-width fault-sim tallies; index 0/1/2 ↔ 64/256/512 lanes.
-    fs_runs_by_lanes: [AtomicU64; 3],
-    fs_batches_by_lanes: [AtomicU64; 3],
-    // Annealing-search work (crate::anneal runs).
-    an_runs: AtomicU64,
-    an_chains: AtomicU64,
-    an_evaluated: AtomicU64,
-    an_accepted: AtomicU64,
-    an_stalled: AtomicU64,
-    an_wasted: AtomicU64,
-    an_oracle_hits: AtomicU64,
-    an_oracle_misses: AtomicU64,
-    an_wall_nanos: AtomicU64,
-    // Incremental flow-cache work beneath the oracle (lobist_alloc::flowcache).
-    fc: Mutex<FlowCacheStats>,
-    // Canonization work (the structural result cache in crate::engine).
-    canon_exact_hits: AtomicU64,
-    canon_iso_hits: AtomicU64,
-    canon_remaps: AtomicU64,
-    canon_bailouts: AtomicU64,
-    canon_hist: Mutex<[u64; NUM_BUCKETS]>,
-    // Lint runs (crate::lint drives).
-    lint_runs: AtomicU64,
-    lint_errors: AtomicU64,
-    lint_warnings: AtomicU64,
-    lint_wall_nanos: AtomicU64,
-    // Per-pass log2-µs histograms, keyed by pass name (BTreeMap so the
-    // JSON section is deterministically ordered).
-    lint_hist: Mutex<BTreeMap<&'static str, [u64; NUM_BUCKETS]>>,
-    // Static testability analysis (crate::analyze drives).
-    ta_runs: AtomicU64,
-    ta_cones: AtomicU64,
-    ta_faults: AtomicU64,
-    ta_hard: AtomicU64,
-    ta_redundant: AtomicU64,
-    ta_unreachable: AtomicU64,
-    ta_wall_nanos: AtomicU64,
-    // Per-cone analysis wall time, one aggregated log2-µs histogram
-    // (cone labels are per-design strings, so no static keying).
-    ta_hist: Mutex<[u64; NUM_BUCKETS]>,
-}
+pub struct Metrics(Mutex<MetricsSnapshot>);
 
 impl Metrics {
     /// Fresh, all-zero metrics.
@@ -120,112 +50,100 @@ impl Metrics {
         Self::default()
     }
 
+    /// The ledger under its lock. Poison-tolerant: every update leaves
+    /// the counters valid, so a panic elsewhere must not stop them.
+    fn ledger(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn add_submitted(&self, n: u64) {
-        self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
+        self.ledger().jobs_submitted += n;
     }
 
     pub(crate) fn job_done(&self, cache_hit: bool) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        let mut m = self.ledger();
+        m.jobs_completed += 1;
         if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            m.cache_hits += 1;
         } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            m.cache_misses += 1;
         }
     }
 
     /// A job answered by the durable store tier (missed the in-memory
     /// cache, found on disk, promoted).
     pub(crate) fn job_done_from_store(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        let mut m = self.ledger();
+        m.jobs_completed += 1;
+        m.store_hits += 1;
         // A store hit is still a miss for the in-memory tier.
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        m.cache_misses += 1;
     }
 
-    /// A job found an identical job already in flight and waited for its
-    /// result instead of evaluating (single-flight deduplication).
+    /// A job waited for an in-flight job with the same synthesis core
+    /// instead of evaluating (single-flight deduplication).
     pub(crate) fn coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
+        self.ledger().coalesced += 1;
     }
 
     pub(crate) fn job_panicked(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.panics.fetch_add(1, Ordering::Relaxed);
+        let mut m = self.ledger();
+        m.jobs_completed += 1;
+        m.panics += 1;
     }
 
     pub(crate) fn record_stages(&self, timings: &StageTimings) {
-        let mut h = self.histograms.lock().expect("histogram lock");
-        for (i, (_, d)) in timings.stages().iter().enumerate() {
-            h[i][bucket(d.as_micros())] += 1;
+        let mut m = self.ledger();
+        for (hist, (_, took)) in m.histograms.iter_mut().zip(timings.stages()) {
+            tally(hist, took);
         }
     }
 
     pub(crate) fn record_pool(&self, stats: &PoolStats) {
-        let busy: u64 = stats.busy.iter().map(|d| d.as_nanos() as u64).sum();
-        self.busy_nanos.fetch_add(busy, Ordering::Relaxed);
-        self.capacity_nanos.fetch_add(
-            stats.wall.as_nanos() as u64 * stats.workers as u64,
-            Ordering::Relaxed,
-        );
+        let mut m = self.ledger();
+        m.busy += stats.busy.iter().sum::<Duration>();
+        m.capacity += stats.wall * stats.workers as u32;
     }
 
     /// Accumulates the work accounting of one fault-simulation run
     /// ([`crate::faultsim`]).
     pub fn record_fault_sim(&self, stats: &FaultSimStats) {
-        self.fs_batches_loaded
-            .fetch_add(stats.counters.batches_loaded, Ordering::Relaxed);
-        self.fs_faults_simulated
-            .fetch_add(stats.counters.faults_simulated, Ordering::Relaxed);
-        self.fs_cone_evals
-            .fetch_add(stats.counters.cone_evals, Ordering::Relaxed);
-        self.fs_events_propagated
-            .fetch_add(stats.counters.events_propagated, Ordering::Relaxed);
-        self.fs_collapsed_away
-            .fetch_add(stats.collapsed_away as u64, Ordering::Relaxed);
-        self.fs_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
+        let mut m = self.ledger();
+        let fs = &mut m.fault_sim;
+        fs.batches_loaded += stats.counters.batches_loaded;
+        fs.faults_simulated += stats.counters.faults_simulated;
+        fs.cone_evals += stats.counters.cone_evals;
+        fs.events_propagated += stats.counters.events_propagated;
+        fs.collapsed_away += stats.collapsed_away as u64;
+        fs.wall += stats.wall;
         let idx = lane_index(stats.lanes);
-        self.fs_runs_by_lanes[idx].fetch_add(1, Ordering::Relaxed);
-        self.fs_batches_by_lanes[idx].fetch_add(stats.counters.batches_loaded, Ordering::Relaxed);
+        fs.runs_by_lanes[idx] += 1;
+        fs.batches_by_lanes[idx] += stats.counters.batches_loaded;
     }
 
     /// Accumulates the work accounting of one annealing run
     /// ([`crate::anneal`]).
     pub fn record_anneal(&self, result: &AnnealResult, stats: &AnnealStats) {
-        self.an_runs.fetch_add(1, Ordering::Relaxed);
-        self.an_chains
-            .fetch_add(stats.chains as u64, Ordering::Relaxed);
-        self.an_evaluated
-            .fetch_add(u64::from(result.evaluated), Ordering::Relaxed);
-        self.an_accepted
-            .fetch_add(u64::from(result.accepted), Ordering::Relaxed);
-        self.an_stalled
-            .fetch_add(u64::from(result.stalled), Ordering::Relaxed);
-        self.an_wasted
-            .fetch_add(u64::from(result.wasted), Ordering::Relaxed);
-        self.an_oracle_hits
-            .fetch_add(result.oracle_hits, Ordering::Relaxed);
-        self.an_oracle_misses
-            .fetch_add(result.oracle_misses, Ordering::Relaxed);
-        self.an_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut fc = self.fc.lock().expect("flow-cache lock");
-        accumulate_stage(&mut fc.interconnect, &result.flow_cache.interconnect);
-        accumulate_stage(&mut fc.embeddings, &result.flow_cache.embeddings);
-        accumulate_stage(&mut fc.selection, &result.flow_cache.selection);
-        fc.warm_starts += result.flow_cache.warm_starts;
-        for (acc, &n) in fc
-            .delta_micros
-            .iter_mut()
-            .zip(&result.flow_cache.delta_micros)
-        {
+        let mut m = self.ledger();
+        let an = &mut m.anneal;
+        an.runs += 1;
+        an.chains += stats.chains as u64;
+        an.moves_evaluated += u64::from(result.evaluated);
+        an.moves_accepted += u64::from(result.accepted);
+        an.stalls += u64::from(result.stalled);
+        an.speculative_waste += u64::from(result.wasted);
+        an.oracle_hits += result.oracle_hits;
+        an.oracle_misses += result.oracle_misses;
+        an.wall += stats.wall;
+        let (fc, run) = (&mut m.flow_cache, &result.flow_cache);
+        accumulate_stage(&mut fc.interconnect, &run.interconnect);
+        accumulate_stage(&mut fc.embeddings, &run.embeddings);
+        accumulate_stage(&mut fc.selection, &run.selection);
+        fc.warm_starts += run.warm_starts;
+        for (acc, &n) in fc.delta_micros.iter_mut().zip(&run.delta_micros) {
             *acc += n;
         }
-        for (acc, &n) in fc
-            .full_micros
-            .iter_mut()
-            .zip(&result.flow_cache.full_micros)
-        {
+        for (acc, &n) in fc.full_micros.iter_mut().zip(&run.full_micros) {
             *acc += n;
         }
     }
@@ -234,11 +152,10 @@ impl Metrics {
     /// histogram, and a search that hit its leaf budget (falling back to
     /// a deterministic but not label-invariant order) counts a bailout.
     pub(crate) fn record_canonization(&self, took: Duration, bailed: bool) {
-        let mut h = self.canon_hist.lock().expect("canon histogram lock");
-        h[bucket(took.as_micros())] += 1;
-        drop(h);
+        let mut m = self.ledger();
+        tally(&mut m.canon.canon_micros_log2, took);
         if bailed {
-            self.canon_bailouts.fetch_add(1, Ordering::Relaxed);
+            m.canon.bailouts += 1;
         }
     }
 
@@ -246,32 +163,31 @@ impl Metrics {
     /// when the stored result came from a differently-labelled
     /// isomorphic submission, exact otherwise.
     pub(crate) fn canon_hit(&self, iso: bool) {
+        let mut m = self.ledger();
         if iso {
-            self.canon_iso_hits.fetch_add(1, Ordering::Relaxed);
+            m.canon.iso_hits += 1;
         } else {
-            self.canon_exact_hits.fetch_add(1, Ordering::Relaxed);
+            m.canon.exact_hits += 1;
         }
     }
 
     /// A stored canonical-coordinate result was translated back into a
     /// requester's own names.
     pub(crate) fn canon_remap(&self) {
-        self.canon_remaps.fetch_add(1, Ordering::Relaxed);
+        self.ledger().canon.remaps += 1;
     }
 
     /// Accumulates the outcome and per-pass timings of one lint run
     /// ([`crate::lint::lint_parallel`]).
     pub fn record_lint(&self, report: &lobist_lint::Report, stats: &LintRunStats) {
-        self.lint_runs.fetch_add(1, Ordering::Relaxed);
-        self.lint_errors
-            .fetch_add(report.error_count() as u64, Ordering::Relaxed);
-        self.lint_warnings
-            .fetch_add(report.warning_count() as u64, Ordering::Relaxed);
-        self.lint_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.lint_hist.lock().expect("lint histogram lock");
+        let mut m = self.ledger();
+        let lint = &mut m.lint;
+        lint.runs += 1;
+        lint.errors += report.error_count() as u64;
+        lint.warnings += report.warning_count() as u64;
+        lint.wall += stats.wall;
         for &(name, took) in &stats.passes {
-            hist.entry(name).or_insert([0; NUM_BUCKETS])[bucket(took.as_micros())] += 1;
+            tally(lint.pass_histograms.entry(name).or_default(), took);
         }
     }
 
@@ -282,96 +198,27 @@ impl Metrics {
         report: &lobist_lint::TestabilityReport,
         stats: &crate::analyze::AnalyzeRunStats,
     ) {
-        self.ta_runs.fetch_add(1, Ordering::Relaxed);
-        self.ta_cones
-            .fetch_add(report.cones.len() as u64, Ordering::Relaxed);
-        self.ta_faults
-            .fetch_add(report.total_faults() as u64, Ordering::Relaxed);
-        self.ta_hard
-            .fetch_add(report.total_hard() as u64, Ordering::Relaxed);
-        self.ta_redundant
-            .fetch_add(report.total_redundant() as u64, Ordering::Relaxed);
-        self.ta_unreachable
-            .fetch_add(report.total_unreachable() as u64, Ordering::Relaxed);
-        self.ta_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.ta_hist.lock().expect("testability histogram lock");
+        let mut m = self.ledger();
+        let ta = &mut m.testability;
+        ta.runs += 1;
+        ta.cones += report.cones.len() as u64;
+        ta.faults += report.total_faults() as u64;
+        ta.hard += report.total_hard() as u64;
+        ta.redundant += report.total_redundant() as u64;
+        ta.unreachable += report.total_unreachable() as u64;
+        ta.wall += stats.wall;
         for (_, took) in &stats.cones {
-            hist[bucket(took.as_micros())] += 1;
+            tally(&mut ta.cone_micros_log2, *took);
         }
     }
 
-    /// A consistent-enough point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            capacity: Duration::from_nanos(self.capacity_nanos.load(Ordering::Relaxed)),
-            histograms: *self.histograms.lock().expect("histogram lock"),
-            fault_sim: FaultSimSnapshot {
-                batches_loaded: self.fs_batches_loaded.load(Ordering::Relaxed),
-                faults_simulated: self.fs_faults_simulated.load(Ordering::Relaxed),
-                cone_evals: self.fs_cone_evals.load(Ordering::Relaxed),
-                events_propagated: self.fs_events_propagated.load(Ordering::Relaxed),
-                collapsed_away: self.fs_collapsed_away.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.fs_wall_nanos.load(Ordering::Relaxed)),
-                runs_by_lanes: self
-                    .fs_runs_by_lanes
-                    .each_ref()
-                    .map(|c| c.load(Ordering::Relaxed)),
-                batches_by_lanes: self
-                    .fs_batches_by_lanes
-                    .each_ref()
-                    .map(|c| c.load(Ordering::Relaxed)),
-            },
-            anneal: AnnealSnapshot {
-                runs: self.an_runs.load(Ordering::Relaxed),
-                chains: self.an_chains.load(Ordering::Relaxed),
-                moves_evaluated: self.an_evaluated.load(Ordering::Relaxed),
-                moves_accepted: self.an_accepted.load(Ordering::Relaxed),
-                stalls: self.an_stalled.load(Ordering::Relaxed),
-                speculative_waste: self.an_wasted.load(Ordering::Relaxed),
-                oracle_hits: self.an_oracle_hits.load(Ordering::Relaxed),
-                oracle_misses: self.an_oracle_misses.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.an_wall_nanos.load(Ordering::Relaxed)),
-            },
-            flow_cache: self.fc.lock().expect("flow-cache lock").clone(),
-            canon: CanonSnapshot {
-                exact_hits: self.canon_exact_hits.load(Ordering::Relaxed),
-                iso_hits: self.canon_iso_hits.load(Ordering::Relaxed),
-                remaps: self.canon_remaps.load(Ordering::Relaxed),
-                bailouts: self.canon_bailouts.load(Ordering::Relaxed),
-                canon_micros_log2: *self.canon_hist.lock().expect("canon histogram lock"),
-            },
-            lint: LintSnapshot {
-                runs: self.lint_runs.load(Ordering::Relaxed),
-                errors: self.lint_errors.load(Ordering::Relaxed),
-                warnings: self.lint_warnings.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.lint_wall_nanos.load(Ordering::Relaxed)),
-                pass_histograms: self.lint_hist.lock().expect("lint histogram lock").clone(),
-            },
-            testability: TestabilitySnapshot {
-                runs: self.ta_runs.load(Ordering::Relaxed),
-                cones: self.ta_cones.load(Ordering::Relaxed),
-                faults: self.ta_faults.load(Ordering::Relaxed),
-                hard: self.ta_hard.load(Ordering::Relaxed),
-                redundant: self.ta_redundant.load(Ordering::Relaxed),
-                unreachable: self.ta_unreachable.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.ta_wall_nanos.load(Ordering::Relaxed)),
-                cone_micros_log2: *self.ta_hist.lock().expect("testability histogram lock"),
-            },
-            result_cache: None,
-            cache_capacity: 0,
-            store: None,
-            server: None,
-            subcanon: None,
-        }
+    /// A point-in-time copy of every counter. The live cache, store and
+    /// fragment-tier views are attached by [`Engine::metrics`], the one
+    /// way callers take a snapshot.
+    ///
+    /// [`Engine::metrics`]: crate::Engine::metrics
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.ledger().clone()
     }
 }
 
@@ -469,7 +316,7 @@ pub struct LintSnapshot {
 
 /// Accumulated static-testability-analysis work, as carried in a
 /// [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TestabilitySnapshot {
     /// Analysis runs recorded.
     pub runs: u64,
@@ -490,24 +337,9 @@ pub struct TestabilitySnapshot {
     pub cone_micros_log2: [u64; NUM_BUCKETS],
 }
 
-impl Default for TestabilitySnapshot {
-    fn default() -> Self {
-        Self {
-            runs: 0,
-            cones: 0,
-            faults: 0,
-            hard: 0,
-            redundant: 0,
-            unreachable: 0,
-            wall: Duration::ZERO,
-            cone_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
-}
-
 /// Accumulated canonization work of the structural result cache, as
 /// carried in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CanonSnapshot {
     /// Cache/store hits whose origin fingerprint matched the request —
     /// the same rendered design resubmitted.
@@ -524,18 +356,6 @@ pub struct CanonSnapshot {
     /// Log2-microsecond histogram of canonization wall time (same
     /// bucketing as the flow-stage histograms).
     pub canon_micros_log2: [u64; NUM_BUCKETS],
-}
-
-impl Default for CanonSnapshot {
-    fn default() -> Self {
-        Self {
-            exact_hits: 0,
-            iso_hits: 0,
-            remaps: 0,
-            bailouts: 0,
-            canon_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
 }
 
 impl CanonSnapshot {
@@ -555,7 +375,7 @@ impl CanonSnapshot {
 /// Accumulated daemon-side request accounting, as carried in a
 /// [`MetricsSnapshot`]. The server fills this in before rendering; a
 /// plain engine leaves it `None` and the JSON omits the section.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerSnapshot {
     /// Requests accepted onto the queue.
     pub requests: u64,
@@ -579,24 +399,8 @@ pub struct ServerSnapshot {
     pub request_micros_log2: [u64; NUM_BUCKETS],
 }
 
-impl Default for ServerSnapshot {
-    fn default() -> Self {
-        Self {
-            requests: 0,
-            completed: 0,
-            failed: 0,
-            rejected: 0,
-            active: 0,
-            queue_depth: 0,
-            peak_queue_depth: 0,
-            wall: Duration::ZERO,
-            request_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
-}
-
 /// A point-in-time copy of an engine's metrics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Jobs handed to the engine so far.
     pub jobs_submitted: u64,
@@ -609,8 +413,9 @@ pub struct MetricsSnapshot {
     pub cache_misses: u64,
     /// Jobs answered from the durable store tier.
     pub store_hits: u64,
-    /// Jobs that waited for an identical in-flight job instead of
-    /// evaluating (single-flight deduplication).
+    /// Jobs that waited on an in-flight job with the same synthesis
+    /// core instead of evaluating (single-flight deduplication; equal
+    /// job keys imply equal cores, so identical jobs count too).
     pub coalesced: u64,
     /// Jobs that panicked (isolated; reported as failures).
     pub panics: u64,
@@ -890,16 +695,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_log2_micros() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(3), 1);
-        assert_eq!(bucket(1024), 10);
-        assert_eq!(bucket(u128::MAX), NUM_BUCKETS - 1);
-    }
 
     #[test]
     fn counters_accumulate_and_render() {

@@ -18,12 +18,12 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use lobist_engine::metrics::bucket_micros;
+use lobist_alloc::flowcache::tally;
 use lobist_engine::pool::panic_message;
-use lobist_engine::{Engine, ServerSnapshot, NUM_BUCKETS};
+use lobist_engine::{Engine, ServerSnapshot};
 use lobist_store::{DiskStore, DiskStoreConfig, ResultStore};
 
 use crate::exec;
@@ -86,52 +86,19 @@ struct Gate {
 struct GateState {
     active: usize,
     waiting: usize,
-}
-
-/// Live request counters, rendered into the metrics JSON as the
-/// `"server"` section.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    requests: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    active: AtomicU64,
-    queue_depth: AtomicU64,
-    peak_queue_depth: AtomicU64,
-    wall_nanos: AtomicU64,
-    hist: Mutex<[u64; NUM_BUCKETS]>,
-}
-
-impl ServerStats {
-    fn record_wall(&self, wall: Duration) {
-        self.wall_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.hist.lock().expect("histogram lock");
-        hist[bucket_micros(wall.as_micros())] += 1;
-    }
-
-    /// Point-in-time copy in the engine's snapshot shape.
-    pub fn snapshot(&self) -> ServerSnapshot {
-        ServerSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            active: self.active.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            request_micros_log2: *self.hist.lock().expect("histogram lock"),
-        }
-    }
+    /// High-water mark of `waiting`.
+    peak_waiting: usize,
 }
 
 /// State shared by every handler thread.
 pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) config: ServerConfig,
-    pub(crate) stats: ServerStats,
+    /// Request counters, rendered as the metrics JSON's `"server"`
+    /// section. Its gauges (`active`, `queue_depth`,
+    /// `peak_queue_depth`) stay zero: they live in the admission gate
+    /// and are read from it by [`Shared::server_snapshot`].
+    stats: Mutex<ServerSnapshot>,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     gate: Gate,
@@ -172,25 +139,16 @@ impl Shared {
         }
         let depth = st.waiting as u64;
         st.waiting += 1;
-        self.stats
-            .queue_depth
-            .store(st.waiting as u64, Ordering::Relaxed);
-        self.stats
-            .peak_queue_depth
-            .fetch_max(st.waiting as u64, Ordering::Relaxed);
+        st.peak_waiting = st.peak_waiting.max(st.waiting);
         while st.active >= self.config.max_active && !self.shutting_down() {
             st = self.gate.cv.wait(st).expect("gate lock");
         }
         st.waiting -= 1;
-        self.stats
-            .queue_depth
-            .store(st.waiting as u64, Ordering::Relaxed);
         if self.shutting_down() {
             self.gate.cv.notify_all();
             return Err("server is shutting down".into());
         }
         st.active += 1;
-        self.stats.active.store(st.active as u64, Ordering::Relaxed);
         Ok((Permit(self), depth))
     }
 
@@ -204,7 +162,6 @@ impl Shared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         st.active -= 1;
-        self.stats.active.store(st.active as u64, Ordering::Relaxed);
         drop(st);
         self.gate.cv.notify_all();
     }
@@ -213,8 +170,30 @@ impl Shared {
     /// section attached.
     pub(crate) fn metrics_json(&self) -> String {
         let mut snap = self.engine.metrics();
-        snap.server = Some(self.stats.snapshot());
+        snap.server = Some(self.server_snapshot());
         snap.to_json()
+    }
+
+    /// The request-counter ledger under its lock (poison-tolerant, like
+    /// the gate: every update leaves the counters valid).
+    fn stats(&self) -> MutexGuard<'_, ServerSnapshot> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The `"server"` section: the request counters plus the admission
+    /// gate's gauges.
+    fn server_snapshot(&self) -> ServerSnapshot {
+        let gate = self
+            .gate
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        ServerSnapshot {
+            active: gate.active as u64,
+            queue_depth: gate.waiting as u64,
+            peak_queue_depth: gate.peak_waiting as u64,
+            ..self.stats().clone()
+        }
     }
 }
 
@@ -301,7 +280,7 @@ impl Server {
             shared: Arc::new(Shared {
                 engine,
                 config,
-                stats: ServerStats::default(),
+                stats: Mutex::default(),
                 shutdown: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
                 gate: Gate::default(),
@@ -529,7 +508,7 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
     let mut request = match parse_request(line) {
         Ok(r) => r,
         Err(message) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            shared.stats().rejected += 1;
             emit(
                 out,
                 &format!(
@@ -540,11 +519,11 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
             return Ok(true);
         }
     };
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    shared.stats().requests += 1;
     match request.cmd {
         Command::Ping => {
             emit(out, &format!("{{\"event\":\"pong\",\"id\":{id}}}"))?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            shared.stats().completed += 1;
             Ok(true)
         }
         Command::Metrics => {
@@ -554,13 +533,13 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
                 out,
                 &format!("{{\"event\":\"metrics\",\"id\":{id},\"data\":{data}}}"),
             )?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            shared.stats().completed += 1;
             Ok(true)
         }
         Command::Shutdown => {
             shared.request_shutdown();
             emit(out, &format!("{{\"event\":\"shutdown\",\"id\":{id}}}"))?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            shared.stats().completed += 1;
             Ok(false)
         }
         _ => {
@@ -583,7 +562,7 @@ fn serve_job(
 ) -> std::io::Result<()> {
     let design = &request.job.design;
     if design.len() > shared.config.max_design_bytes {
-        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        shared.stats().rejected += 1;
         return emit(
             out,
             &format!(
@@ -597,7 +576,7 @@ fn serve_job(
     let (permit, depth) = match shared.admit() {
         Ok(admitted) => admitted,
         Err(reason) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            shared.stats().rejected += 1;
             return emit(
                 out,
                 &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{reason:?}}}"),
@@ -617,7 +596,11 @@ fn serve_job(
     };
     let wall = start.elapsed();
     drop(permit);
-    shared.stats.record_wall(wall);
+    {
+        let mut stats = shared.stats();
+        stats.wall += wall;
+        tally(&mut stats.request_micros_log2, wall);
+    }
     match outcome {
         Ok(body) => {
             // The `result` event is rendered purely from the job's
@@ -637,14 +620,14 @@ fn serve_job(
                     wall.as_micros()
                 ),
             )?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            shared.stats().completed += 1;
         }
         Err(message) => {
             emit(
                 out,
                 &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{message:?}}}"),
             )?;
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+            shared.stats().failed += 1;
         }
     }
     Ok(())
@@ -668,6 +651,6 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(shared.gate.state.lock().expect("gate").active, 0);
-        assert_eq!(shared.stats.snapshot().active, 0);
+        assert_eq!(shared.server_snapshot().active, 0);
     }
 }
