@@ -4,8 +4,6 @@
 //! the library usable end-to-end from an unscheduled DFG and feed the
 //! random-design experiments. All operations take one control step.
 
-use std::collections::HashMap;
-
 use crate::dfg::Dfg;
 use crate::modules::ModuleSet;
 use crate::schedule::Schedule;
@@ -81,32 +79,146 @@ impl std::error::Error for ListScheduleError {}
 /// Dedicated units are claimed before ALUs so ALUs stay free for the
 /// kinds nothing else can serve.
 ///
+/// The ready list is kept across steps rather than rebuilt: every op
+/// counts its producing ops that are not yet placed, and an op placed at
+/// step `s` releases the consumers that count drops to zero into the
+/// ready list of step `s + 1`. Ops a step leaves unplaced stay ready, and
+/// the list stays ordered by `(mobility, index)`, so the schedule is the
+/// one the textbook per-step rescan gives in time linear in the design
+/// plus the ready-list scans.
+///
 /// # Errors
 ///
 /// Returns [`ListScheduleError::NoCapableModule`] if some operation kind
 /// has no capable module at all.
 pub fn list_schedule(dfg: &Dfg, modules: &ModuleSet) -> Result<Schedule, ListScheduleError> {
+    check_capable(dfg, modules)?;
+    let (mobility, latency) = mobility(dfg);
+    let urgency = |op: &OpId| (mobility[op.index()], op.index());
+
+    // Producing ops not yet placed, per op (an op reading one variable
+    // on both ports waits for its producer once).
+    let mut pending: Vec<u32> = dfg
+        .op_ids()
+        .map(|op| {
+            let o = dfg.op(op);
+            let mut n = 0;
+            if o.lhs.var().is_some_and(|v| dfg.var(v).producer.is_some()) {
+                n += 1;
+            }
+            if o.rhs.var().is_some_and(|v| {
+                o.lhs.var() != Some(v) && dfg.var(v).producer.is_some()
+            }) {
+                n += 1;
+            }
+            n
+        })
+        .collect();
+    let mut ready: Vec<OpId> = dfg.op_ids().filter(|op| pending[op.index()] == 0).collect();
+    ready.sort_by_key(urgency);
+
+    let mut steps = vec![0u32; dfg.num_ops()];
+    let mut free: Vec<bool> = vec![true; modules.len()];
+    let mut placed: Vec<OpId> = Vec::new();
+    let mut released: Vec<OpId> = Vec::new();
+    let mut remaining = dfg.num_ops();
+    let mut step = 0u32;
+    while remaining > 0 {
+        step += 1;
+        // A module is free until claimed this step, so a kind that found
+        // no free module stays blocked for the rest of the step.
+        free.fill(true);
+        let mut blocked = [false; OpKind::ALL.len()];
+        ready.retain(|&op| {
+            let kind = dfg.op(op).kind;
+            if blocked[kind as usize] {
+                return true;
+            }
+            if claim_module(modules, &mut free, kind).is_none() {
+                blocked[kind as usize] = true;
+                return true;
+            }
+            steps[op.index()] = step;
+            placed.push(op);
+            false
+        });
+        remaining -= placed.len();
+        // This step's results are available from the next step on.
+        for op in placed.drain(..) {
+            for &c in &dfg.var(dfg.op(op).out).consumers {
+                pending[c.index()] -= 1;
+                if pending[c.index()] == 0 {
+                    released.push(c);
+                }
+            }
+        }
+        if !released.is_empty() {
+            released.sort_by_key(urgency);
+            // Two sorted runs: the stable sort merges them in linear time.
+            ready.append(&mut released);
+            ready.sort_by_key(urgency);
+        }
+        assert!(
+            step <= (dfg.num_ops() as u32 + 1) * (latency + 1),
+            "list scheduler failed to make progress"
+        );
+    }
+    Ok(Schedule::new(dfg, steps).expect("list schedule respects dependencies by construction"))
+}
+
+/// Fails on the first operation kind no module of the set can execute.
+fn check_capable(dfg: &Dfg, modules: &ModuleSet) -> Result<(), ListScheduleError> {
     for op in dfg.op_ids() {
         let kind = dfg.op(op).kind;
         if modules.supporting(kind).next().is_none() {
             return Err(ListScheduleError::NoCapableModule { kind });
         }
     }
+    Ok(())
+}
+
+/// Per-op ALAP mobility at the critical-path latency, and that latency.
+fn mobility(dfg: &Dfg) -> (Vec<u32>, u32) {
     let asap_s = asap(dfg);
     let latency = asap_s.max_step();
     let alap_s = alap(dfg, latency).expect("latency equals critical path");
-    let mobility: HashMap<OpId, u32> = dfg
+    let mobility = dfg
         .op_ids()
-        .map(|op| (op, alap_s.step(op) - asap_s.step(op)))
+        .map(|op| alap_s.step(op) - asap_s.step(op))
         .collect();
+    (mobility, latency)
+}
 
+/// Claims a free module able to execute `kind`, preferring dedicated
+/// units over ALUs (then the lowest index).
+fn claim_module(modules: &ModuleSet, free: &mut [bool], kind: OpKind) -> Option<usize> {
+    let m = modules
+        .supporting(kind)
+        .filter(|&m| free[m])
+        .min_by_key(|&m| match modules.class(m) {
+            crate::modules::ModuleClass::Op(_) => (0, m),
+            crate::modules::ModuleClass::Alu => (1, m),
+        })?;
+    free[m] = false;
+    Some(m)
+}
+
+/// The textbook list scheduler that rebuilds the ready list from every
+/// op at every step, kept as the executable reference of
+/// [`list_schedule`].
+#[cfg(test)]
+pub(crate) fn list_schedule_reference(
+    dfg: &Dfg,
+    modules: &ModuleSet,
+) -> Result<Schedule, ListScheduleError> {
+    check_capable(dfg, modules)?;
+    let (mobility, latency) = mobility(dfg);
     let mut steps = vec![0u32; dfg.num_ops()];
     let mut done = vec![false; dfg.num_ops()];
     let mut remaining = dfg.num_ops();
     let mut step = 0u32;
     while remaining > 0 {
         step += 1;
-        // A module is free until claimed this step.
         let mut free: Vec<bool> = vec![true; modules.len()];
         // Ready = all producing predecessors finished in earlier steps.
         let mut ready: Vec<OpId> = dfg
@@ -119,19 +231,9 @@ pub fn list_schedule(dfg: &Dfg, modules: &ModuleSet) -> Result<Schedule, ListSch
                     .all(|p| done[p.index()] && steps[p.index()] < step)
             })
             .collect();
-        ready.sort_by_key(|&op| (mobility[&op], op.index()));
+        ready.sort_by_key(|&op| (mobility[op.index()], op.index()));
         for op in ready {
-            let kind = dfg.op(op).kind;
-            // Prefer dedicated units; fall back to a free ALU.
-            let choice = modules
-                .supporting(kind)
-                .filter(|&m| free[m])
-                .min_by_key(|&m| match modules.class(m) {
-                    crate::modules::ModuleClass::Op(_) => (0, m),
-                    crate::modules::ModuleClass::Alu => (1, m),
-                });
-            if let Some(m) = choice {
-                free[m] = false;
+            if claim_module(modules, &mut free, dfg.op(op).kind).is_some() {
                 steps[op.index()] = step;
                 done[op.index()] = true;
                 remaining -= 1;
@@ -230,6 +332,49 @@ mod tests {
         assert!(s.max_step() >= 3);
         for step in 1..=s.max_step() {
             assert!(s.ops_in_step(step).len() <= 3);
+        }
+    }
+
+    /// The ready-list scheduler must place every op exactly where the
+    /// per-step rescan does.
+    fn assert_matches_reference(g: &Dfg, modules: &str, what: &str) {
+        let modules: ModuleSet = modules.parse().unwrap();
+        let fast = list_schedule(g, &modules).map(|s| s.as_slice().to_vec());
+        let reference = list_schedule_reference(g, &modules).map(|s| s.as_slice().to_vec());
+        assert_eq!(fast, reference, "{what} under {modules}");
+    }
+
+    #[test]
+    fn list_schedule_matches_reference_on_random_designs() {
+        let configs = [
+            crate::random::RandomDfgConfig::default(),
+            crate::random::RandomDfgConfig {
+                num_ops: 60,
+                num_inputs: 4,
+                max_ops_per_step: 6,
+                ..Default::default()
+            },
+        ];
+        let module_sets = ["1+,1-,1*,1&", "2+,1-,2*,1&", "1*,2ALU", "1ALU", "3+,3-,3*,3&"];
+        for cfg in &configs {
+            for seed in 0..12u64 {
+                let (g, _) = crate::random::random_scheduled_dfg(seed, cfg);
+                for modules in module_sets {
+                    assert_matches_reference(&g, modules, &format!("random seed {seed}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn list_schedule_matches_reference_on_corpus() {
+        for kind in crate::corpus::KINDS {
+            for size in [1, 2, 5, 8, 16, 32, 48, 64] {
+                let g = crate::corpus::generate(kind, size, 1);
+                for modules in ["1+,1*,1-", "2+,2*,2-", "1*,1-,2ALU", "1+,3ALU"] {
+                    assert_matches_reference(&g, modules, &format!("{}_n{size}", kind.name()));
+                }
+            }
         }
     }
 
