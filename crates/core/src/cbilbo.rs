@@ -14,12 +14,15 @@
 //!   `R_y` covering the rest of `O_Mk` that also meets every instance's
 //!   operands (then either of `R_x`, `R_y` must be a CBILBO).
 //!
-//! The testable allocator consults [`creates_new_forced_cbilbo`] before
-//! every merge; the test suite validates the lemma against brute-force
-//! embedding enumeration.
+//! The testable allocator checks Lemma 2 before every merge through
+//! `Lemma2State`, which keeps the lemma's counts across the coloring walk;
+//! [`creates_new_forced_cbilbo`] is the same verdict recomputed from the
+//! classes, and the `naive` test module the set-algebra definition. The
+//! test suite pins the three to each other along real allocator walks and
+//! validates the lemma against brute-force embedding enumeration.
 
 use lobist_datapath::{ModuleAssignment, ModuleId};
-use lobist_dfg::{Dfg, VarId};
+use lobist_dfg::{Dfg, OpId, VarId};
 
 use crate::variable_sets::SharingContext;
 
@@ -199,7 +202,9 @@ pub fn lemma1_output_register_bound(
 ///
 /// This is the check the testable allocator runs before each merge
 /// (Section III-B: "the register assignment algorithm is modified to
-/// include the check and to avoid assignments leading to CBILBOs").
+/// include the check and to avoid assignments leading to CBILBOs"),
+/// recomputed from the classes. The allocator itself asks the incremental
+/// `Lemma2State`, which must agree with this function on every probe.
 pub fn creates_new_forced_cbilbo(
     dfg: &Dfg,
     ma: &ModuleAssignment,
@@ -229,6 +234,207 @@ pub fn creates_new_forced_cbilbo(
         }
     }
     false
+}
+
+/// Lemma 2 kept incrementally over a growing register assignment: the
+/// state behind the testable allocator's check before every merge.
+///
+/// Per module `M` it holds `|O_M|`, the instance count, and for every
+/// class `R_x` the counts [`forced_for_module`] derives, `|R_x ∩ O_M|`
+/// and the number of instances whose operands meet `R_x`. Call the
+/// classes whose intersection is non-empty and that meet every
+/// instance *full*. Classes are disjoint, so the intersections of all
+/// classes sum to at most `|O_M|`, and Lemma 2 forces
+///
+/// * one register when a single full class holds all of `O_M` (case i),
+/// * two registers when exactly two full classes split `O_M` (case ii),
+/// * none otherwise: a third full class holds an output the others miss.
+///
+/// So the forced count of a module follows from the number of full
+/// classes and the sum of their intersections, both kept per module.
+/// A probe re-evaluates only the modules the variable belongs to and
+/// derives the probed register's new counts from the variable's
+/// producing and consuming ops, without allocating; the state changes
+/// only on [`commit`](Self::commit).
+#[derive(Debug, Clone)]
+pub(crate) struct Lemma2State<'a> {
+    dfg: &'a Dfg,
+    ma: &'a ModuleAssignment,
+    ctx: &'a SharingContext,
+    /// The class of each variable, `UNASSIGNED` if none yet.
+    class_of: Vec<u32>,
+    num_classes: usize,
+    modules: Vec<ModuleCounts>,
+    /// `|R_x ∩ O_M|` at `x * num_modules + M`.
+    inter: Vec<u32>,
+    /// Instances of `M` with an operand in `R_x`, at `x * num_modules + M`.
+    met: Vec<u32>,
+}
+
+const UNASSIGNED: u32 = u32::MAX;
+
+/// The per-module totals of [`Lemma2State`].
+#[derive(Debug, Clone, Copy)]
+struct ModuleCounts {
+    /// `|O_M|`.
+    outputs: u32,
+    /// Number of instances (ops) of the module.
+    instances: u32,
+    /// Number of full classes.
+    full: u32,
+    /// Sum of the full classes' `|R_x ∩ O_M|`.
+    full_outputs: u32,
+}
+
+impl ModuleCounts {
+    fn is_full(&self, inter: u32, met: u32) -> bool {
+        inter > 0 && met == self.instances
+    }
+
+    /// Registers Lemma 2 forces for this module, given its number of
+    /// full classes and the sum of their intersections.
+    fn forced(&self, full: u32, full_outputs: u32) -> u32 {
+        if (full == 1 || full == 2) && full_outputs == self.outputs {
+            full
+        } else {
+            0
+        }
+    }
+}
+
+impl<'a> Lemma2State<'a> {
+    /// The state of the empty assignment (no classes).
+    pub(crate) fn new(dfg: &'a Dfg, ma: &'a ModuleAssignment, ctx: &'a SharingContext) -> Self {
+        let mut seen_out = vec![false; dfg.num_vars()];
+        let modules = ma
+            .module_ids()
+            .map(|m| {
+                let ops = ma.ops_of(m);
+                let mut outputs = 0;
+                for &op in ops {
+                    let v = dfg.op(op).out;
+                    if !seen_out[v.index()] {
+                        seen_out[v.index()] = true;
+                        outputs += 1;
+                    }
+                }
+                for &op in ops {
+                    seen_out[dfg.op(op).out.index()] = false;
+                }
+                ModuleCounts {
+                    outputs,
+                    instances: ops.len() as u32,
+                    full: 0,
+                    full_outputs: 0,
+                }
+            })
+            .collect();
+        Self {
+            dfg,
+            ma,
+            ctx,
+            class_of: vec![UNASSIGNED; dfg.num_vars()],
+            num_classes: 0,
+            modules,
+            inter: Vec::new(),
+            met: Vec::new(),
+        }
+    }
+
+    /// How adding the unassigned `v` to class `register` grows that
+    /// class's `(|R ∩ O_M|, met instances)` for module `m`: `v`'s
+    /// producer adds an output of `m`, and each consumer on `m` whose
+    /// other operands miss the class adds a met instance.
+    fn growth(&self, register: usize, v: VarId, m: usize) -> (u32, u32) {
+        let on_m = |op: OpId| self.ma.module_of(op).index() == m;
+        let var = self.dfg.var(v);
+        let inter = u32::from(var.producer.is_some_and(on_m));
+        // `v` itself is unassigned, so only a consumer's other operand can
+        // already be in the class.
+        let met = var
+            .consumers
+            .iter()
+            .filter(|&&op| {
+                on_m(op)
+                    && !self
+                        .dfg
+                        .op(op)
+                        .input_vars()
+                        .any(|u| self.class_of[u.index()] == register as u32)
+            })
+            .count() as u32;
+        (inter, met)
+    }
+
+    /// `true` if adding the unassigned variable `v` to class `register`
+    /// would raise some module's forced count — the verdict of
+    /// [`creates_new_forced_cbilbo`] on the committed classes.
+    /// `register` may be one past the last class (a new register).
+    pub(crate) fn creates_new_forced(&self, register: usize, v: VarId) -> bool {
+        let mut touched = self.ctx.modules_of(v);
+        let fresh = register == self.num_classes;
+        while touched != 0 {
+            let m = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            let counts = &self.modules[m];
+            let (inter0, met0) = if fresh {
+                (0, 0)
+            } else {
+                let i = register * self.modules.len() + m;
+                (self.inter[i], self.met[i])
+            };
+            let (di, dm) = self.growth(register, v, m);
+            let (inter1, met1) = (inter0 + di, met0 + dm);
+            let (was, is) = (counts.is_full(inter0, met0), counts.is_full(inter1, met1));
+            let full = counts.full - u32::from(was) + u32::from(is);
+            let full_outputs = counts.full_outputs - if was { inter0 } else { 0 }
+                + if is { inter1 } else { 0 };
+            if counts.forced(full, full_outputs) > counts.forced(counts.full, counts.full_outputs)
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The forced `(register, module)` pairs of the committed classes.
+    #[cfg(test)]
+    pub(crate) fn forced_count(&self) -> usize {
+        self.modules
+            .iter()
+            .map(|c| c.forced(c.full, c.full_outputs) as usize)
+            .sum()
+    }
+
+    /// Adds the unassigned variable `v` to class `register`, opening a new
+    /// class when `register` is one past the last.
+    pub(crate) fn commit(&mut self, register: usize, v: VarId) {
+        let k = self.modules.len();
+        if register == self.num_classes {
+            self.num_classes += 1;
+            self.inter.resize(self.num_classes * k, 0);
+            self.met.resize(self.num_classes * k, 0);
+        }
+        let mut touched = self.ctx.modules_of(v);
+        while touched != 0 {
+            let m = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            let (di, dm) = self.growth(register, v, m);
+            let i = register * k + m;
+            let counts = &mut self.modules[m];
+            if counts.is_full(self.inter[i], self.met[i]) {
+                counts.full -= 1;
+                counts.full_outputs -= self.inter[i];
+            }
+            self.inter[i] += di;
+            self.met[i] += dm;
+            if counts.is_full(self.inter[i], self.met[i]) {
+                counts.full += 1;
+                counts.full_outputs += self.inter[i];
+            }
+        }
+        self.class_of[v.index()] = register as u32;
+    }
 }
 
 /// The original set-algebra formulation of Lemma 2, kept as an
@@ -435,6 +641,18 @@ mod incremental_equivalence {
     use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
     use lobist_dfg::random::{random_scheduled_dfg, RandomDfgConfig};
 
+    /// The recompute-everything verdict: does adding `v` to class `r`
+    /// raise the number of forced `(register, module)` pairs?
+    fn naive(dfg: &Dfg, ma: &ModuleAssignment, classes: &[Vec<VarId>], r: usize, v: VarId) -> bool {
+        let before = naive::forced_cbilbos(dfg, ma, classes);
+        assert_eq!(forced_cbilbos(dfg, ma, classes), before);
+        let mut trial = classes.to_vec();
+        trial[r].push(v);
+        let after = naive::forced_cbilbos(dfg, ma, &trial);
+        assert_eq!(forced_cbilbos(dfg, ma, &trial), after);
+        after.len() > before.len()
+    }
+
     /// The optimized incremental check must agree with the naive
     /// recompute-everything definition on random partial assignments.
     #[test]
@@ -444,15 +662,6 @@ mod incremental_equivalence {
             num_inputs: 4,
             max_ops_per_step: 2,
             ..RandomDfgConfig::default()
-        };
-        let naive = |dfg: &Dfg, ma: &ModuleAssignment, classes: &[Vec<VarId>], r: usize, v: VarId| {
-            let before = naive::forced_cbilbos(dfg, ma, classes);
-            assert_eq!(forced_cbilbos(dfg, ma, classes), before);
-            let mut trial = classes.to_vec();
-            trial[r].push(v);
-            let after = naive::forced_cbilbos(dfg, ma, &trial);
-            assert_eq!(forced_cbilbos(dfg, ma, &trial), after);
-            after.len() > before.len()
         };
         let mut compared = 0usize;
         for seed in 0..20u64 {
@@ -491,5 +700,171 @@ mod incremental_equivalence {
             }
         }
         assert!(compared > 50, "only {compared} probes compared");
+    }
+
+    /// Probes `v` against each of `registers` (a register one past the
+    /// last class is a fresh one): the incremental Lemma-2 verdict must
+    /// equal both [`creates_new_forced_cbilbo`] and the naive
+    /// recomputation. Then commits `v` to `chosen` and checks the state's
+    /// forced count against Lemma 2 on the classes so far. Returns the
+    /// number of probes.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_and_commit(
+        dfg: &Dfg,
+        ma: &ModuleAssignment,
+        state: &mut Lemma2State,
+        classes: &mut Vec<Vec<VarId>>,
+        v: VarId,
+        registers: impl IntoIterator<Item = usize>,
+        chosen: usize,
+        what: &str,
+    ) -> usize {
+        let mut padded = classes.clone();
+        padded.push(Vec::new());
+        let mut probes = 0;
+        for r in registers {
+            let incremental = state.creates_new_forced(r, v);
+            assert_eq!(
+                incremental,
+                creates_new_forced_cbilbo(dfg, ma, &padded, r, v),
+                "{what}: register {r}, var {v}"
+            );
+            assert_eq!(
+                incremental,
+                naive(dfg, ma, &padded, r, v),
+                "{what}: register {r}, var {v} (naive)"
+            );
+            probes += 1;
+        }
+        state.commit(chosen, v);
+        if chosen == classes.len() {
+            classes.push(Vec::new());
+        }
+        classes[chosen].push(v);
+        assert_eq!(
+            state.forced_count(),
+            forced_cbilbos(dfg, ma, classes).len(),
+            "{what}: forced count after committing {v}"
+        );
+        probes
+    }
+
+    /// Replays the testable allocator's real coloring walk on one design,
+    /// probing every compatible register plus a fresh one at every step.
+    fn replay_walk(
+        dfg: &Dfg,
+        schedule: &lobist_dfg::Schedule,
+        modules: &lobist_dfg::modules::ModuleSet,
+        lifetimes: LifetimeOptions,
+        what: &str,
+    ) -> usize {
+        let Ok(ma) = crate::module_assign::assign_modules(dfg, schedule, modules) else {
+            return 0;
+        };
+        let alloc = crate::testable_regalloc::allocate_registers(
+            dfg,
+            schedule,
+            lifetimes,
+            &ma,
+            &crate::testable_regalloc::TestableAllocOptions::default(),
+        )
+        .expect("chordal");
+        let ctx = SharingContext::new(dfg, &ma);
+        let mut state = Lemma2State::new(dfg, &ma, &ctx);
+        let mut classes: Vec<Vec<VarId>> = Vec::new();
+        let mut probes = 0;
+        for step in &alloc.trace.steps {
+            let fresh = classes.len();
+            let compatible = step.candidates.iter().map(|c| c.register);
+            probes += probe_and_commit(
+                dfg,
+                &ma,
+                &mut state,
+                &mut classes,
+                step.variable,
+                compatible.chain([fresh]),
+                step.chosen,
+                &format!("{what}, step {}", step.position),
+            );
+        }
+        probes
+    }
+
+    #[test]
+    fn incremental_state_matches_references_along_the_coloring_walk() {
+        let cfg = RandomDfgConfig {
+            num_ops: 16,
+            num_inputs: 5,
+            max_ops_per_step: 3,
+            ..RandomDfgConfig::default()
+        };
+        let mut probes = 0;
+        for seed in 0..24u64 {
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            for modules in ["2+,2-,2*,2&", "1+,1-,1*,1&", "1*,2ALU"] {
+                let modules = modules.parse().unwrap();
+                for lifetimes in [LifetimeOptions::registered_inputs(), LifetimeOptions::port_inputs()] {
+                    probes += replay_walk(&dfg, &schedule, &modules, lifetimes, &format!("seed {seed}"));
+                }
+            }
+        }
+        for kind in lobist_dfg::corpus::KINDS {
+            for size in [8, 12, 16] {
+                let dfg = lobist_dfg::corpus::generate(kind, size, 1);
+                for modules in ["1+,1*,1-", "2+,2*,2-"] {
+                    let modules: lobist_dfg::modules::ModuleSet = modules.parse().unwrap();
+                    let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules).unwrap();
+                    let what = format!("{}_n{size} under {modules}", kind.name());
+                    probes += replay_walk(&dfg, &schedule, &modules, LifetimeOptions::registered_inputs(), &what);
+                }
+            }
+        }
+        assert!(probes > 2000, "only {probes} probes compared");
+    }
+
+    /// Lifetime-proper classes never hold two operands of one op (both
+    /// are live when it reads them), so the allocator's walk never meets a
+    /// consumer whose other operand already sits in the probed class.
+    /// Arbitrary classes do: commit every variable to a random class and
+    /// probe every register at every step.
+    #[test]
+    fn incremental_state_matches_references_on_arbitrary_classes() {
+        let cfg = RandomDfgConfig {
+            num_ops: 12,
+            num_inputs: 4,
+            max_ops_per_step: 3,
+            ..RandomDfgConfig::default()
+        };
+        let modules: lobist_dfg::modules::ModuleSet = "2+,2-,2*,2&".parse().unwrap();
+        let mut probes = 0;
+        for seed in 0..20u64 {
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            let Ok(ma) = crate::module_assign::assign_modules(&dfg, &schedule, &modules) else {
+                continue;
+            };
+            let ctx = SharingContext::new(&dfg, &ma);
+            let mut state = Lemma2State::new(&dfg, &ma, &ctx);
+            let mut classes: Vec<Vec<VarId>> = Vec::new();
+            let mut rng = seed;
+            for v in dfg.var_ids() {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // At most four classes, so operands often share one.
+                let n = classes.len();
+                let chosen = (((rng >> 33) % (n as u64 + 1)) as usize).min(3);
+                probes += probe_and_commit(
+                    &dfg,
+                    &ma,
+                    &mut state,
+                    &mut classes,
+                    v,
+                    0..=n,
+                    chosen,
+                    &format!("seed {seed}"),
+                );
+            }
+        }
+        assert!(probes > 500, "only {probes} probes compared");
     }
 }

@@ -112,10 +112,12 @@ pub fn allocate_registers(
     };
     let coloring_order: Vec<usize> = elimination.into_iter().rev().collect();
 
-    // 2–4. Color in reverse PVES order.
+    // 2–4. Color in reverse PVES order. The Lemma-2 state tracks the
+    //      classes so each merge is vetted without recomputing them.
     let mut classes: Vec<Vec<VarId>> = Vec::new();
     let mut masks: Vec<RegisterMask> = Vec::new();
     let mut class_dense: Vec<Vec<usize>> = Vec::new(); // dense vertex ids per class
+    let mut lemma2 = cbilbo::Lemma2State::new(dfg, modules, &ctx);
     let mut trace = AllocTrace::default();
 
     for (position, &dense) in coloring_order.iter().enumerate() {
@@ -139,11 +141,10 @@ pub fn allocate_registers(
             class_dense.push(Vec::new());
             (classes.len() - 1, ChoiceReason::NewRegister)
         } else {
-            choose_register(
-                dfg, modules, &ctx, &classes, &masks, vid, &candidates, options,
-            )
+            choose_register(&ctx, &lemma2, &masks, vid, &candidates, options)
         };
 
+        lemma2.commit(chosen, vid);
         classes[chosen].push(vid);
         let mut m = masks[chosen];
         ctx.add_to_register(&mut m, vid);
@@ -174,12 +175,9 @@ fn affinity(ctx: &SharingContext, mask: RegisterMask, v: VarId) -> usize {
     ctx.sd_var(v) + ctx.sd_register(mask) - ctx.sd_register_with(mask, v)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn choose_register(
-    dfg: &Dfg,
-    modules: &ModuleAssignment,
     ctx: &SharingContext,
-    classes: &[Vec<VarId>],
+    lemma2: &cbilbo::Lemma2State,
     masks: &[RegisterMask],
     vid: VarId,
     candidates: &[CandidateInfo],
@@ -210,8 +208,7 @@ fn choose_register(
                 continue;
             }
             for c in candidates {
-                let holds_output = classes[c.register].iter().any(|&u| ctx.is_output_of(u, j));
-                if holds_output && c.sd_before > base.sd_after {
+                if masks[c.register].meets_outputs(j) && c.sd_before > base.sd_after {
                     overrides.push((c, ChoiceReason::Case1Override));
                 }
             }
@@ -223,16 +220,12 @@ fn choose_register(
             if !ctx.is_input_of(vid, j) {
                 continue;
             }
-            let holders = classes
-                .iter()
-                .filter(|cl| cl.iter().any(|&u| ctx.is_input_of(u, j)))
-                .count();
+            let holders = masks.iter().filter(|m| m.meets_inputs(j)).count();
             if holders < 2 {
                 continue;
             }
             for c in candidates {
-                let holds_input = classes[c.register].iter().any(|&u| ctx.is_input_of(u, j));
-                if holds_input && c.sd_before > base.sd_after {
+                if masks[c.register].meets_inputs(j) && c.sd_before > base.sd_after {
                     overrides.push((c, ChoiceReason::Case2Override));
                 }
             }
@@ -266,7 +259,7 @@ fn choose_register(
 
     if options.lemma2_check {
         for (i, (r, reason)) in preference.iter().enumerate() {
-            if !cbilbo::creates_new_forced_cbilbo(dfg, modules, classes, *r, vid) {
+            if !lemma2.creates_new_forced(*r, vid) {
                 let reason = if i == 0 {
                     reason.clone()
                 } else {

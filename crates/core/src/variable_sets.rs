@@ -46,6 +46,16 @@ impl RegisterMask {
     pub fn touches(&self, j: usize) -> bool {
         (self.x | self.y) >> j & 1 == 1
     }
+
+    /// `true` if some variable of the register is in `I_{Mj}`.
+    pub fn meets_inputs(&self, j: usize) -> bool {
+        self.x >> j & 1 == 1
+    }
+
+    /// `true` if some variable of the register is in `O_{Mj}`.
+    pub fn meets_outputs(&self, j: usize) -> bool {
+        self.y >> j & 1 == 1
+    }
 }
 
 impl SharingContext {
@@ -89,6 +99,12 @@ impl SharingContext {
     /// `true` if `v` is an output variable of module `j`.
     pub fn is_output_of(&self, v: VarId, j: usize) -> bool {
         self.y_mask[v.index()] >> j & 1 == 1
+    }
+
+    /// The modules whose input or output variable set holds `v`, as a
+    /// bitmask (bit `j` for `M_j`).
+    pub fn modules_of(&self, v: VarId) -> u64 {
+        self.x_mask[v.index()] | self.y_mask[v.index()]
     }
 
     /// The sharing degree of a variable (Definition 4).
