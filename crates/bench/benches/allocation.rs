@@ -1,13 +1,17 @@
 //! Criterion benchmarks: register-allocation scaling on random scheduled
-//! DFGs (testable vs. traditional) and on the unrolled diff-eq designs.
+//! DFGs (testable vs. traditional), on the unrolled diff-eq designs, and
+//! on list-scheduled corpus designs (plus the list scheduler itself on
+//! the largest one).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lobist_alloc::baseline_regalloc::{self, BaselineAlgorithm};
 use lobist_alloc::module_assign::assign_modules;
 use lobist_alloc::testable_regalloc::{allocate_registers, TestableAllocOptions};
+use lobist_dfg::corpus::{generate, CorpusKind};
 use lobist_dfg::lifetime::LifetimeOptions;
 use lobist_dfg::random::{random_scheduled_dfg, RandomDfgConfig};
+use lobist_dfg::scheduling::list_schedule;
 use lobist_dfg::{benchmarks, modules::ModuleSet};
 
 fn bench_random_scaling(c: &mut Criterion) {
@@ -71,5 +75,40 @@ fn bench_diffeq_unrolled(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_random_scaling, bench_diffeq_unrolled);
+fn bench_corpus(c: &mut Criterion) {
+    let mut group = c.benchmark_group("regalloc_corpus");
+    let modules: ModuleSet = "1+,1*,1-".parse().expect("valid");
+    for kind in [CorpusKind::Matmul, CorpusKind::Diffeq] {
+        for size in [16u32, 32, 64] {
+            let dfg = generate(kind, size, 1);
+            let schedule = list_schedule(&dfg, &modules).expect("covers the corpus");
+            let ma = assign_modules(&dfg, &schedule, &modules).expect("assigns");
+            let id = BenchmarkId::new(kind.name(), format!("n{size}"));
+            group.bench_with_input(id, &size, |b, _| {
+                b.iter(|| {
+                    allocate_registers(
+                        &dfg,
+                        &schedule,
+                        LifetimeOptions::registered_inputs(),
+                        &ma,
+                        &TestableAllocOptions::default(),
+                    )
+                    .expect("chordal")
+                })
+            });
+        }
+    }
+    let matmul = generate(CorpusKind::Matmul, 64, 1);
+    group.bench_function("list_schedule/matmul_n64", |b| {
+        b.iter(|| list_schedule(&matmul, &modules).expect("covers the corpus"))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_random_scaling,
+    bench_diffeq_unrolled,
+    bench_corpus
+);
 criterion_main!(benches);

@@ -256,7 +256,7 @@ pub fn creates_new_forced_cbilbo(
 /// derives the probed register's new counts from the variable's
 /// producing and consuming ops, without allocating; the state changes
 /// only on [`commit`](Self::commit).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Lemma2State<'a> {
     dfg: &'a Dfg,
     ma: &'a ModuleAssignment,
@@ -387,10 +387,9 @@ impl<'a> Lemma2State<'a> {
             let (inter1, met1) = (inter0 + di, met0 + dm);
             let (was, is) = (counts.is_full(inter0, met0), counts.is_full(inter1, met1));
             let full = counts.full - u32::from(was) + u32::from(is);
-            let full_outputs = counts.full_outputs - if was { inter0 } else { 0 }
-                + if is { inter1 } else { 0 };
-            if counts.forced(full, full_outputs) > counts.forced(counts.full, counts.full_outputs)
-            {
+            let full_outputs =
+                counts.full_outputs - if was { inter0 } else { 0 } + if is { inter1 } else { 0 };
+            if counts.forced(full, full_outputs) > counts.forced(counts.full, counts.full_outputs) {
                 return true;
             }
         }
@@ -702,55 +701,67 @@ mod incremental_equivalence {
         assert!(compared > 50, "only {compared} probes compared");
     }
 
-    /// Probes `v` against each of `registers` (a register one past the
-    /// last class is a fresh one): the incremental Lemma-2 verdict must
-    /// equal both [`creates_new_forced_cbilbo`] and the naive
-    /// recomputation. Then commits `v` to `chosen` and checks the state's
-    /// forced count against Lemma 2 on the classes so far. Returns the
-    /// number of probes.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_and_commit(
-        dfg: &Dfg,
-        ma: &ModuleAssignment,
-        state: &mut Lemma2State,
-        classes: &mut Vec<Vec<VarId>>,
-        v: VarId,
-        registers: impl IntoIterator<Item = usize>,
-        chosen: usize,
-        what: &str,
-    ) -> usize {
-        let mut padded = classes.clone();
-        padded.push(Vec::new());
-        let mut probes = 0;
-        for r in registers {
-            let incremental = state.creates_new_forced(r, v);
-            assert_eq!(
-                incremental,
-                creates_new_forced_cbilbo(dfg, ma, &padded, r, v),
-                "{what}: register {r}, var {v}"
-            );
-            assert_eq!(
-                incremental,
-                naive(dfg, ma, &padded, r, v),
-                "{what}: register {r}, var {v} (naive)"
-            );
-            probes += 1;
+    /// A walk over a growing class list: the incremental state next to
+    /// the classes it describes, checked against both references.
+    struct Walk<'a> {
+        dfg: &'a Dfg,
+        ma: &'a ModuleAssignment,
+        state: Lemma2State<'a>,
+        classes: Vec<Vec<VarId>>,
+        probes: usize,
+    }
+
+    impl<'a> Walk<'a> {
+        fn new(dfg: &'a Dfg, ma: &'a ModuleAssignment, ctx: &'a SharingContext) -> Self {
+            Self {
+                dfg,
+                ma,
+                state: Lemma2State::new(dfg, ma, ctx),
+                classes: Vec::new(),
+                probes: 0,
+            }
         }
-        state.commit(chosen, v);
-        if chosen == classes.len() {
-            classes.push(Vec::new());
+
+        /// The incremental verdict for adding `v` to `register` (one past
+        /// the last class is a fresh one) must equal both
+        /// [`creates_new_forced_cbilbo`] and the naive recomputation.
+        fn probe(&mut self, register: usize, v: VarId, what: &str) {
+            let mut padded = self.classes.clone();
+            padded.push(Vec::new());
+            let incremental = self.state.creates_new_forced(register, v);
+            let reference = creates_new_forced_cbilbo(self.dfg, self.ma, &padded, register, v);
+            assert_eq!(
+                incremental, reference,
+                "{what}: register {register}, var {v}"
+            );
+            let recomputed = naive(self.dfg, self.ma, &padded, register, v);
+            assert_eq!(
+                incremental, recomputed,
+                "{what}: register {register}, var {v} (naive)"
+            );
+            self.probes += 1;
         }
-        classes[chosen].push(v);
-        assert_eq!(
-            state.forced_count(),
-            forced_cbilbos(dfg, ma, classes).len(),
-            "{what}: forced count after committing {v}"
-        );
-        probes
+
+        /// Commits `v` to `register`; the state's forced count must then
+        /// equal Lemma 2 on the classes so far.
+        fn commit(&mut self, register: usize, v: VarId, what: &str) {
+            self.state.commit(register, v);
+            if register == self.classes.len() {
+                self.classes.push(Vec::new());
+            }
+            self.classes[register].push(v);
+            let forced = forced_cbilbos(self.dfg, self.ma, &self.classes).len();
+            assert_eq!(
+                self.state.forced_count(),
+                forced,
+                "{what}: after committing {v}"
+            );
+        }
     }
 
     /// Replays the testable allocator's real coloring walk on one design,
     /// probing every compatible register plus a fresh one at every step.
+    /// Returns the number of probes.
     fn replay_walk(
         dfg: &Dfg,
         schedule: &lobist_dfg::Schedule,
@@ -770,24 +781,16 @@ mod incremental_equivalence {
         )
         .expect("chordal");
         let ctx = SharingContext::new(dfg, &ma);
-        let mut state = Lemma2State::new(dfg, &ma, &ctx);
-        let mut classes: Vec<Vec<VarId>> = Vec::new();
-        let mut probes = 0;
+        let mut walk = Walk::new(dfg, &ma, &ctx);
         for step in &alloc.trace.steps {
-            let fresh = classes.len();
-            let compatible = step.candidates.iter().map(|c| c.register);
-            probes += probe_and_commit(
-                dfg,
-                &ma,
-                &mut state,
-                &mut classes,
-                step.variable,
-                compatible.chain([fresh]),
-                step.chosen,
-                &format!("{what}, step {}", step.position),
-            );
+            let what = format!("{what}, step {}", step.position);
+            let fresh = walk.classes.len();
+            for r in step.candidates.iter().map(|c| c.register).chain([fresh]) {
+                walk.probe(r, step.variable, &what);
+            }
+            walk.commit(step.chosen, step.variable, &what);
         }
-        probes
+        walk.probes
     }
 
     #[test]
@@ -798,13 +801,18 @@ mod incremental_equivalence {
             max_ops_per_step: 3,
             ..RandomDfgConfig::default()
         };
+        let lifetimes = [
+            LifetimeOptions::registered_inputs(),
+            LifetimeOptions::port_inputs(),
+        ];
         let mut probes = 0;
         for seed in 0..24u64 {
             let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
             for modules in ["2+,2-,2*,2&", "1+,1-,1*,1&", "1*,2ALU"] {
                 let modules = modules.parse().unwrap();
-                for lifetimes in [LifetimeOptions::registered_inputs(), LifetimeOptions::port_inputs()] {
-                    probes += replay_walk(&dfg, &schedule, &modules, lifetimes, &format!("seed {seed}"));
+                for lt in lifetimes {
+                    let what = format!("seed {seed} under {modules}");
+                    probes += replay_walk(&dfg, &schedule, &modules, lt, &what);
                 }
             }
         }
@@ -812,10 +820,10 @@ mod incremental_equivalence {
             for size in [8, 12, 16] {
                 let dfg = lobist_dfg::corpus::generate(kind, size, 1);
                 for modules in ["1+,1*,1-", "2+,2*,2-"] {
-                    let modules: lobist_dfg::modules::ModuleSet = modules.parse().unwrap();
+                    let modules = modules.parse().unwrap();
                     let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules).unwrap();
                     let what = format!("{}_n{size} under {modules}", kind.name());
-                    probes += replay_walk(&dfg, &schedule, &modules, LifetimeOptions::registered_inputs(), &what);
+                    probes += replay_walk(&dfg, &schedule, &modules, lifetimes[0], &what);
                 }
             }
         }
@@ -843,27 +851,22 @@ mod incremental_equivalence {
                 continue;
             };
             let ctx = SharingContext::new(&dfg, &ma);
-            let mut state = Lemma2State::new(&dfg, &ma, &ctx);
-            let mut classes: Vec<Vec<VarId>> = Vec::new();
+            let mut walk = Walk::new(&dfg, &ma, &ctx);
             let mut rng = seed;
+            let what = format!("seed {seed}");
             for v in dfg.var_ids() {
+                let n = walk.classes.len();
+                for r in 0..=n {
+                    walk.probe(r, v, &what);
+                }
                 rng = rng
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 // At most four classes, so operands often share one.
-                let n = classes.len();
                 let chosen = (((rng >> 33) % (n as u64 + 1)) as usize).min(3);
-                probes += probe_and_commit(
-                    &dfg,
-                    &ma,
-                    &mut state,
-                    &mut classes,
-                    v,
-                    0..=n,
-                    chosen,
-                    &format!("seed {seed}"),
-                );
+                walk.commit(chosen, v, &what);
             }
+            probes += walk.probes;
         }
         assert!(probes > 500, "only {probes} probes compared");
     }

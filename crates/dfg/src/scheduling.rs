@@ -106,9 +106,10 @@ pub fn list_schedule(dfg: &Dfg, modules: &ModuleSet) -> Result<Schedule, ListSch
             if o.lhs.var().is_some_and(|v| dfg.var(v).producer.is_some()) {
                 n += 1;
             }
-            if o.rhs.var().is_some_and(|v| {
-                o.lhs.var() != Some(v) && dfg.var(v).producer.is_some()
-            }) {
+            if o.rhs
+                .var()
+                .is_some_and(|v| o.lhs.var() != Some(v) && dfg.var(v).producer.is_some())
+            {
                 n += 1;
             }
             n
@@ -355,7 +356,13 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let module_sets = ["1+,1-,1*,1&", "2+,1-,2*,1&", "1*,2ALU", "1ALU", "3+,3-,3*,3&"];
+        let module_sets = [
+            "1+,1-,1*,1&",
+            "2+,1-,2*,1&",
+            "1*,2ALU",
+            "1ALU",
+            "3+,3-,3*,3&",
+        ];
         for cfg in &configs {
             for seed in 0..12u64 {
                 let (g, _) = crate::random::random_scheduled_dfg(seed, cfg);

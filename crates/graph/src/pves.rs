@@ -96,7 +96,12 @@ where
             let twice: u32 = g
                 .neighbors(u)
                 .iter()
-                .map(|&a| ru.iter().zip(row(a)).map(|(x, y)| (x & !y).count_ones()).sum::<u32>())
+                .map(|&a| {
+                    ru.iter()
+                        .zip(row(a))
+                        .map(|(x, y)| (x & !y).count_ones())
+                        .sum::<u32>()
+                })
                 .sum();
             twice as usize / 2
         })
@@ -130,7 +135,9 @@ where
     }
     if order.len() < n {
         return Err(NotChordalError {
-            remaining: (0..n).filter(|&u| alive[u / 64] >> (u % 64) & 1 == 1).collect(),
+            remaining: (0..n)
+                .filter(|&u| alive[u / 64] >> (u % 64) & 1 == 1)
+                .collect(),
         });
     }
     Ok(order)
@@ -139,7 +146,10 @@ where
 /// The textbook scheme that re-tests every remaining vertex at every
 /// step, kept as the executable reference of [`pves_by_key`].
 #[cfg(test)]
-pub(crate) fn pves_by_key_reference<K, F>(g: &UGraph, mut key: F) -> Result<Vec<usize>, NotChordalError>
+pub(crate) fn pves_by_key_reference<K, F>(
+    g: &UGraph,
+    mut key: F,
+) -> Result<Vec<usize>, NotChordalError>
 where
     K: Ord,
     F: FnMut(usize) -> K,

@@ -50,8 +50,14 @@ fn allocate(
     lifetimes: LifetimeOptions,
 ) -> (String, String) {
     let ma = assign_modules(dfg, schedule, modules).expect("modules cover the design");
-    let alloc = allocate_registers(dfg, schedule, lifetimes, &ma, &TestableAllocOptions::default())
-        .expect("straight-line lifetimes are chordal");
+    let alloc = allocate_registers(
+        dfg,
+        schedule,
+        lifetimes,
+        &ma,
+        &TestableAllocOptions::default(),
+    )
+    .expect("straight-line lifetimes are chordal");
     let mut text = String::new();
     for (r, class) in alloc.registers.classes().iter().enumerate() {
         let names: Vec<&str> = class.iter().map(|&v| dfg.var(v).name.as_str()).collect();
@@ -68,7 +74,12 @@ fn allocate(
     ];
     let mut summary = format!("registers={}", alloc.registers.num_registers());
     for (label, reason) in &reasons {
-        let n = alloc.trace.steps.iter().filter(|s| s.reason == *reason).count();
+        let n = alloc
+            .trace
+            .steps
+            .iter()
+            .filter(|s| s.reason == *reason)
+            .count();
         write!(summary, " {label}={n}").unwrap();
     }
     write!(summary, " digest={:016x}", fnv1a64(text.as_bytes())).unwrap();
